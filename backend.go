@@ -239,22 +239,18 @@ func parseFaultSpec(spec string) FaultInjector {
 // adjacency and served by the degraded backends — exactly for forests,
 // approximately (with a reported lower-bound gap) otherwise. Unlike
 // FromEdges, vertices of a non-cograph result keep their input
-// numbering.
+// numbering. The adjacency lists are built once, in O(n + m), and
+// shared by recognition and the degraded backends; no step allocates
+// more than O(n + m).
 func FromEdgesAny(n int, edges [][2]int, names []string) (*Graph, error) {
-	if err := checkN(n); err != nil {
+	adj, err := adjacency(n, edges)
+	if err != nil {
 		return nil, err
 	}
-	cg := cograph.NewGraph(n)
-	for _, e := range edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, fmt.Errorf("pathcover: edge (%d,%d) out of range", e[0], e[1])
-		}
-		cg.AddEdge(e[0], e[1])
-	}
-	if t, err := cograph.Recognize(cg, names); err == nil {
+	if t, err := cograph.RecognizeAdjacency(adj, names); err == nil {
 		return &Graph{t: t}, nil
 	}
-	return &Graph{raw: backend.New(n, edges), names: names}, nil
+	return &Graph{raw: backend.FromAdjacency(adj), names: names}, nil
 }
 
 // IsCograph reports whether the graph is a cograph (and therefore

@@ -53,7 +53,7 @@ var (
 	healthyOKs  = flag.Int("healthy-oks", 3, "consecutive successes graduating probation to healthy")
 	probeEvery  = flag.Duration("probe-interval", 250*time.Millisecond, "active /healthz probe interval")
 	probeTmout  = flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
-	maxBody     = flag.Int64("max-body", 64<<20, "request body size limit in bytes")
+	maxBody     = flag.Int64("max-body", 64<<20, "request body size limit in bytes (413 beyond it); also caps the vertices a request may declare at max-body/2, bounding per-request memory")
 
 	// Spawned-node knobs (forwarded to each child daemon).
 	nodeShards  = flag.Int("node-shards", 0, "solver shards per spawned node (0 = GOMAXPROCS/2)")

@@ -28,7 +28,7 @@ var (
 	addr       = flag.String("addr", ":8080", "listen address")
 	shards     = flag.Int("shards", 0, "solver shards (0 = GOMAXPROCS/2)")
 	queue      = flag.Int("queue", 0, "admission queue depth (0 = 8 per shard, negative = unbounded)")
-	maxBody    = flag.Int64("max-body", 64<<20, "request body size limit in bytes")
+	maxBody    = flag.Int64("max-body", 64<<20, "request body size limit in bytes (413 beyond it); also caps the vertices a request may declare at max-body/2, bounding per-request memory")
 	verify     = flag.Bool("verify", false, "re-verify every cover before responding (debugging; O(n) extra per request)")
 	reqTimeout = flag.Duration("request-timeout", 30*time.Second,
 		"per-request deadline enforced inside the solve pipeline; requests over it get 504 (0 disables)")

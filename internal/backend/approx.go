@@ -29,7 +29,7 @@ func ApproxCover(g *Graph, checkFn CheckFunc) (*Result, error) {
 	}
 	rank := func(i int) (int, int) {
 		e := g.Edges[i]
-		a, b := g.deg[e[0]], g.deg[e[1]]
+		a, b := g.Degree(e[0]), g.Degree(e[1])
 		if a > b {
 			a, b = b, a
 		}

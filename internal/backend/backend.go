@@ -18,19 +18,19 @@ package backend
 
 import (
 	"fmt"
-	"sort"
+
+	"pathcover/internal/cograph"
 )
 
 // Graph is a simple undirected graph held as a deduplicated edge list
 // plus sorted adjacency lists. It is the representation of inputs that
-// are not cographs (no cotree exists); construction is O(m log m) and
+// are not cographs (no cotree exists); construction is O(n + m) and
 // the structure is immutable afterwards, so one Graph can serve
 // concurrent requests.
 type Graph struct {
 	N      int
 	Edges  [][2]int // normalized u < v, sorted, deduplicated
-	adj    [][]int  // sorted neighbor lists, shared backing
-	deg    []int
+	adj    *cograph.Adjacency
 	comps  int  // connected components (including isolated vertices)
 	forest bool // no cycle in any component
 }
@@ -39,53 +39,22 @@ type Graph struct {
 // are dropped and duplicate edges collapsed; endpoints must already be
 // range-checked by the caller.
 func New(n int, edges [][2]int) *Graph {
-	norm := make([][2]int, 0, len(edges))
-	for _, e := range edges {
-		u, v := e[0], e[1]
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		norm = append(norm, [2]int{u, v})
+	adj, err := cograph.NewAdjacency(n, edges)
+	if err != nil {
+		panic("backend: " + err.Error())
 	}
-	sort.Slice(norm, func(a, b int) bool {
-		if norm[a][0] != norm[b][0] {
-			return norm[a][0] < norm[b][0]
-		}
-		return norm[a][1] < norm[b][1]
-	})
-	dedup := norm[:0]
-	for i, e := range norm {
-		if i == 0 || e != norm[i-1] {
-			dedup = append(dedup, e)
-		}
-	}
-	g := &Graph{N: n, Edges: dedup, deg: make([]int, n)}
-	for _, e := range dedup {
-		g.deg[e[0]]++
-		g.deg[e[1]]++
-	}
-	backing := make([]int, 2*len(dedup))
-	g.adj = make([][]int, n)
-	off := 0
-	for v := 0; v < n; v++ {
-		g.adj[v] = backing[off : off : off+g.deg[v]]
-		off += g.deg[v]
-	}
-	for _, e := range dedup {
-		g.adj[e[0]] = append(g.adj[e[0]], e[1])
-		g.adj[e[1]] = append(g.adj[e[1]], e[0])
-	}
-	for v := range g.adj {
-		sort.Ints(g.adj[v])
-	}
+	return FromAdjacency(adj)
+}
+
+// FromAdjacency builds a Graph over adjacency lists already built (and
+// shared with cograph recognition) by cograph.NewAdjacency.
+func FromAdjacency(adj *cograph.Adjacency) *Graph {
+	g := &Graph{N: adj.N, Edges: adj.Edges(), adj: adj}
 	// One union-find sweep classifies the graph: component count and
 	// acyclicity, cached for the per-request routing decision.
-	uf := newUnionFind(n)
+	uf := newUnionFind(g.N)
 	g.forest = true
-	for _, e := range dedup {
+	for _, e := range g.Edges {
 		if !uf.union(e[0], e[1]) {
 			g.forest = false
 		}
@@ -95,21 +64,14 @@ func New(n int, edges [][2]int) *Graph {
 }
 
 // Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return g.deg[v] }
+func (g *Graph) Degree(v int) int { return g.adj.Degree(v) }
 
 // Neighbors returns v's sorted adjacency list (shared storage; do not
 // mutate).
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
+func (g *Graph) Neighbors(v int) []int { return g.adj.Neighbors(v) }
 
 // Adjacent reports whether u and v share an edge (binary search).
-func (g *Graph) Adjacent(u, v int) bool {
-	if u == v {
-		return false
-	}
-	a := g.adj[u]
-	i := sort.SearchInts(a, v)
-	return i < len(a) && a[i] == v
-}
+func (g *Graph) Adjacent(u, v int) bool { return g.adj.Adjacent(u, v) }
 
 // IsForest reports whether the graph is acyclic (so the exact tree DP
 // applies).

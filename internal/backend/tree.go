@@ -32,7 +32,7 @@ func TreeCover(g *Graph, checkFn CheckFunc) (*Result, error) {
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		attached := 0
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if w == parent[v] || !open[w] {
 				continue
 			}
@@ -75,7 +75,7 @@ func TreeCoverSize(g *Graph) int {
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		attached := 0
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if w == parent[v] || !open[w] {
 				continue
 			}
@@ -119,7 +119,7 @@ func rootForest(g *Graph) (order []int, parent []int) {
 			v := queue[0]
 			queue = queue[1:]
 			order = append(order, v)
-			for _, w := range g.adj[v] {
+			for _, w := range g.Neighbors(v) {
 				if !visited[w] {
 					visited[w] = true
 					parent[w] = v

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,7 +59,9 @@ type Options struct {
 	// (0 = 250ms / 2s).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// MaxBody bounds inbound request bodies (0 = 64 MiB).
+	// MaxBody bounds inbound request bodies (0 = 64 MiB); larger bodies
+	// get 413. Edge lists declaring more than MaxBody/2 vertices are
+	// routed by their bytes, never built (see routeKey).
 	MaxBody int64
 	// Client overrides the outbound HTTP client (tests; default is a
 	// keep-alive transport with no global timeout — per-attempt
@@ -187,29 +190,35 @@ type keySpec struct {
 	Edges  [][2]int `json:"edges"`
 }
 
-// routeKey derives the ring key of a request body. Parsable graphs key
-// by canonical identity (relabel-invariant for cographs) or normalized
-// edge content; anything else keys by raw bytes and the owning node
-// reports the proper 400.
-func routeKey(body []byte) uint64 {
+// routeKey derives the ring key of a request body and reports the
+// vertex count its edge list declares. Parsable graphs key by
+// canonical identity (relabel-invariant for cographs) or normalized
+// edge content. An edge list over maxN vertices is never built, so it
+// keys by raw bytes like anything else, and the owning node reports
+// the proper 4xx.
+func routeKey(body []byte, maxN int) (key uint64, n int) {
 	var ks keySpec
 	if err := json.Unmarshal(body, &ks); err == nil {
 		switch {
 		case ks.Cotree != "":
 			if g, err := pathcover.ParseCotree(ks.Cotree); err == nil {
-				return KeyOf(g)
+				return KeyOf(g), 0
 			}
-		case ks.N > 0:
+		case ks.N > 0 && ks.N <= maxN:
 			if g, err := pathcover.FromEdgesAny(ks.N, ks.Edges, nil); err == nil {
 				if hi, lo, ok := g.CanonicalHash(); ok {
-					return canon.Hash{Hi: hi, Lo: lo}.Fold64()
+					return canon.Hash{Hi: hi, Lo: lo}.Fold64(), ks.N
 				}
 			}
-			return canon.HashEdges(ks.N, ks.Edges).Fold64()
+			return canon.HashEdges(ks.N, ks.Edges).Fold64(), ks.N
 		}
 	}
-	return Hash64(body)
+	return Hash64(body), max(ks.N, 0)
 }
+
+// vertexCap is the most vertices one request may declare, as on the
+// nodes: MaxBody/2, and never past MaxVertices.
+func (g *Gateway) vertexCap() int { return int(min(g.opts.MaxBody/2, pathcover.MaxVertices)) }
 
 // candidates returns the preference chain for key: ring members
 // (healthy + probation) in ring order from the key's owner. With the
@@ -462,7 +471,12 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.opts.MaxBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return nil, false
 	}
 	if len(body) == 0 {
@@ -499,7 +513,8 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		g.reply(w, g.attemptChain(r.Context(), req, []*member{m}))
 		return
 	}
-	g.reply(w, g.execute(r.Context(), req, g.candidates(routeKey(body)), true))
+	key, _ := routeKey(body, g.vertexCap())
+	g.reply(w, g.execute(r.Context(), req, g.candidates(key), true))
 }
 
 // handleRegister proxies POST /graphs: the graph registers on the node
@@ -513,7 +528,8 @@ func (g *Gateway) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := fwdReq{method: http.MethodPost, path: "/graphs", rawQuery: r.URL.RawQuery, body: body}
-	res := g.attemptChain(r.Context(), req, g.candidates(routeKey(body)))
+	key, _ := routeKey(body, g.vertexCap())
+	res := g.attemptChain(r.Context(), req, g.candidates(key))
 	if res.err == nil && res.node != nil && res.status == http.StatusOK {
 		var info map[string]any
 		if json.Unmarshal(res.body, &info) == nil {
@@ -621,8 +637,17 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	groups := make(map[string]*group)
 	order := make([]string, 0, 4)
+	total, maxN := 0, g.vertexCap()
 	for i, raw := range items {
-		key := routeKey(raw)
+		key, n := routeKey(raw, maxN)
+		// The cap applies to the batch's sum, which the split into
+		// per-node sub-batches would hide from the nodes.
+		if n > maxN || total+n > maxN {
+			err := &pathcover.SizeError{N: max(n, total+n), Max: maxN}
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
+			return
+		}
+		total += n
 		cands := g.candidates(key)
 		if len(cands) == 0 {
 			writeJSON(w, http.StatusBadGateway, map[string]string{"error": "no cluster nodes"})

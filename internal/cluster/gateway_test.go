@@ -19,6 +19,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -503,4 +504,47 @@ func TestClusterNoRetryOnClientError(t *testing.T) {
 	if r := gw.Stats().Retries; r != 0 {
 		t.Fatalf("Retries = %d on a client error, want 0", r)
 	}
+}
+
+// TestClusterOversize413 checks the gateway's size limits: a body over
+// its MaxBody gets 413 from the gateway itself, a batch whose edge
+// lists sum past MaxBody/2 vertices gets 413 before it is split across
+// nodes, and a spec over every cap is routed by its bytes (never
+// built) and answered 413 by its node. The gateway keeps serving.
+func TestClusterOversize413(t *testing.T) {
+	opts := fastOpts()
+	opts.MaxBody = 4096 // gateway vertex cap 2048
+	_, _, base := testCluster(t, 2, opts, nil)
+	post := func(path, body string) (int, string) {
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		payload, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(payload)
+	}
+	huge := `{"n":2000000000,"edges":[]}`
+	cases := []struct{ path, body, want string }{
+		{"/cover", huge, "2000000000 vertices exceed"},
+		{"/hamiltonian", huge, "2000000000 vertices exceed"},
+		{"/graphs", huge, "2000000000 vertices exceed"},
+		{"/batch", `{"graphs":[{"n":1500,"edges":[]},{"cotree":"(0 a b)"},{"n":1000,"edges":[]}]}`,
+			"2500 vertices exceed the supported maximum 2048"},
+		{"/cover", `{"n":3,"edges":[` + strings.Repeat("[0,1],", 1000) + `[0,1]]}`, "request body too large"},
+		{"/batch", `{"graphs":[{"n":3,"edges":[` + strings.Repeat("[0,1],", 1000) + `[0,1]]}]}`, "request body too large"},
+	}
+	for _, tc := range cases {
+		if code, body := post(tc.path, tc.body); code != http.StatusRequestEntityTooLarge || !strings.Contains(body, tc.want) {
+			t.Errorf("%s: HTTP %d %s, want 413 containing %q", tc.path, code, body, tc.want)
+		}
+	}
+	if code, body := post("/cover", `{"n":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}`); code != http.StatusOK || !strings.Contains(body, `"num_paths":1`) {
+		t.Fatalf("/cover after 413s: HTTP %d %s", code, body)
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after 413s: %v %v", resp, err)
+	}
+	resp.Body.Close()
 }

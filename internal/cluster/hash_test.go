@@ -85,3 +85,23 @@ func TestRingDistribution(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteKeyOverCapKeysByBytes: an edge list over the vertex cap is
+// keyed by its raw bytes and reported with its declared size, without
+// building the graph (a 2^30-vertex build would allocate gigabytes).
+func TestRouteKeyOverCapKeysByBytes(t *testing.T) {
+	body := []byte(`{"n":1073741824,"edges":[]}`)
+	var key uint64
+	var n int
+	allocs := testing.AllocsPerRun(3, func() { key, n = routeKey(body, 1<<20) })
+	if key != Hash64(body) || n != 1<<30 {
+		t.Fatalf("routeKey = %x, %d; want the byte hash %x and n 2^30", key, n, Hash64(body))
+	}
+	if allocs > 20 {
+		t.Fatalf("routeKey allocated %v times for an over-cap body", allocs)
+	}
+	small := []byte(`{"n":4,"edges":[[0,1],[1,2],[2,3],[3,0]]}`)
+	if key, n := routeKey(small, 1<<20); key == Hash64(small) || n != 4 {
+		t.Fatalf("an in-cap edge list keyed by bytes (n=%d)", n)
+	}
+}

@@ -33,7 +33,9 @@
 // gateway: saturated admission and shutdown map to 503 with a
 // Retry-After header (back off exactly that long, then retry), client
 // disconnects cancel queued work via the request context (499), and
-// requests cut off by RequestTimeout mid-pipeline get 504. /healthz
+// requests cut off by RequestTimeout mid-pipeline get 504. A body over
+// MaxBody, or edge lists declaring more than MaxBody/2 vertices (summed
+// over a batch), get 413 before any graph is built. /healthz
 // answers with a readiness body — shard restarts, in-flight calls,
 // queue depth, a ready bit that drops while admission is saturated —
 // so an active prober can distinguish a dead node from a busy one.
@@ -65,7 +67,9 @@ type Config struct {
 	// Queue bounds admitted calls (0 = 8 per shard, negative =
 	// unbounded).
 	Queue int
-	// MaxBody limits request body bytes (0 = 64 MiB).
+	// MaxBody limits request body bytes (0 = 64 MiB); larger bodies get
+	// 413. It also caps the vertices one request may declare at
+	// MaxBody/2 (see vertexCap), which bounds per-request memory.
 	MaxBody int64
 	// Verify re-verifies every cover before responding (debugging).
 	Verify bool
@@ -227,13 +231,17 @@ type graphSpec struct {
 
 // graph builds the spec's Graph. strict restores the pre-degradation
 // contract: edge lists must recognize as cographs or the request fails
-// (mapped to 400 by the handlers).
-func (s *graphSpec) graph(strict bool) (*pathcover.Graph, error) {
+// (mapped to 400 by the handlers). An edge list declaring more than
+// maxN vertices fails with a *pathcover.SizeError (413) before
+// anything is built.
+func (s *graphSpec) graph(strict bool, maxN int) (*pathcover.Graph, error) {
 	switch {
 	case s.Cotree != "" && (s.N != 0 || len(s.Edges) != 0):
 		return nil, errors.New("give either a cotree or an edge list, not both")
 	case s.Cotree != "":
 		return pathcover.ParseCotree(s.Cotree)
+	case s.N > maxN:
+		return nil, &pathcover.SizeError{N: s.N, Max: maxN}
 	case s.N > 0:
 		if strict {
 			return pathcover.FromEdges(s.N, s.Edges, s.Names)
@@ -242,6 +250,28 @@ func (s *graphSpec) graph(strict bool) (*pathcover.Graph, error) {
 	default:
 		return nil, errors.New("empty graph spec: set \"cotree\" or \"n\"+\"edges\"")
 	}
+}
+
+// vertexCap is the most vertices one request may declare: MaxBody/2,
+// the leaf count of the largest cotree body within the limit ("(0 a a
+// …)" spends about two bytes per leaf), and never past MaxVertices.
+// Recognition and the degraded backends use O(n + m) memory, so the
+// cap bounds what an edge-list request can allocate, however short its
+// body.
+func (s *Server) vertexCap() int { return int(min(s.cfg.MaxBody/2, pathcover.MaxVertices)) }
+
+// batchVertices rejects a batch whose edge lists declare more than
+// maxN vertices together.
+func batchVertices(specs []graphSpec, maxN int) error {
+	total := 0
+	for _, sp := range specs {
+		n := max(sp.N, 0)
+		if n > maxN || total+n > maxN {
+			return &pathcover.SizeError{N: max(n, total+n), Max: maxN}
+		}
+		total += n
+	}
+	return nil
 }
 
 // strictMode reports whether the request opted into cograph-only
@@ -431,8 +461,16 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 	return r.Context(), func() {}
 }
 
+// badRequest rejects a request as sent: 413 for a body over MaxBody or
+// a graph over the vertex cap, 400 for anything else.
 func badRequest(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	status := http.StatusBadRequest
+	var body *http.MaxBytesError
+	var size *pathcover.SizeError
+	if errors.As(err, &body) || errors.As(err, &size) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 // shed rejects one request the QoS layer refused to admit: 503 with the
@@ -526,7 +564,7 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		var err error
-		if g, err = req.graph(strict); err != nil {
+		if g, err = req.graph(strict, s.vertexCap()); err != nil {
 			badRequest(w, err)
 			return
 		}
@@ -616,7 +654,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	g, err := spec.graph(strictMode(r))
+	g, err := spec.graph(strictMode(r), s.vertexCap())
 	if err != nil {
 		badRequest(w, err)
 		return
@@ -671,7 +709,7 @@ func (s *Server) handleHamiltonian(w http.ResponseWriter, r *http.Request) {
 	}
 	// Hamiltonicity is cograph-only (no degraded backend exists), so the
 	// edge-list form must recognize regardless of strict mode.
-	g, err := req.graph(true)
+	g, err := req.graph(true, s.vertexCap())
 	if err != nil {
 		badRequest(w, err)
 		return
@@ -728,11 +766,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, errors.New("empty batch"))
 		return
 	}
+	if err := batchVertices(req.Graphs, s.vertexCap()); err != nil {
+		badRequest(w, err)
+		return
+	}
 	strict := strictMode(r)
 	gs := make([]*pathcover.Graph, len(req.Graphs))
 	total := 0
 	for i := range req.Graphs {
-		g, err := req.Graphs[i].graph(strict)
+		g, err := req.Graphs[i].graph(strict, s.vertexCap())
 		if err != nil {
 			badRequest(w, fmt.Errorf("graph %d: %w", i, err))
 			return

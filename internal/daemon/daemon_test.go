@@ -550,3 +550,50 @@ func TestAdaptiveServerGrows(t *testing.T) {
 		t.Errorf("shards_max = %v, want 2", got)
 	}
 }
+
+// TestOversizeRequests413 checks the size limits: a body over MaxBody
+// and edge lists declaring more than MaxBody/2 vertices (summed over a
+// batch) get 413 before any graph is built, and the node keeps
+// serving afterwards.
+func TestOversizeRequests413(t *testing.T) {
+	s := New(Config{Shards: 1, MaxBody: 4096}) // vertex cap 2048
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	edgeless := func(n int) map[string]any { return map[string]any{"n": n, "edges": [][2]int{}} }
+	padded := make([][2]int, 1000) // ~6 KB of edges: over the body limit
+	cases := []struct {
+		path string
+		body any
+		want string
+	}{
+		{"/cover", edgeless(2049), "2049 vertices exceed the supported maximum 2048"},
+		{"/cover", edgeless(2_000_000_000), "2000000000 vertices exceed"},
+		{"/hamiltonian", edgeless(2049), "exceed"},
+		{"/graphs", edgeless(2049), "exceed"},
+		{"/batch", map[string]any{"graphs": []any{edgeless(1500), cotreeSpec(1, 8), edgeless(1000)}},
+			"2500 vertices exceed the supported maximum 2048"},
+		{"/cover", map[string]any{"n": 3, "edges": padded}, "request body too large"},
+		{"/batch", map[string]any{"graphs": []any{map[string]any{"n": 3, "edges": padded}}}, "request body too large"},
+	}
+	for _, tc := range cases {
+		code, body, _ := postBody(t, srv.URL, tc.path, tc.body)
+		if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: HTTP %d %s, want 413 containing %q", tc.path, code, body, tc.want)
+		}
+	}
+	// At the cap everything is served, and the node is still healthy.
+	code, body, _ := postBody(t, srv.URL, "/cover", map[string]any{"n": 2048, "edges": [][2]int{}, "omit_paths": true})
+	if code != http.StatusOK || !strings.Contains(string(body), `"num_paths":2048`) {
+		t.Fatalf("/cover at the cap: HTTP %d %s", code, body)
+	}
+	code, body, _ = postBody(t, srv.URL, "/batch", map[string]any{"graphs": []any{edgeless(1048), edgeless(1000)}, "omit_paths": true})
+	if code != http.StatusOK {
+		t.Fatalf("/batch at the cap: HTTP %d %s", code, body)
+	}
+	resp, err := http.Get(srv.URL + "/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after 413s: %v %v", resp, err)
+	}
+	resp.Body.Close()
+}

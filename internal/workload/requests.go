@@ -332,20 +332,12 @@ func powf(x, y float64) float64 {
 	return math.Pow(x, y)
 }
 
-// maxNonCographN caps the size of edge-list catalog entries: building a
-// non-cograph Graph runs cograph recognition first, whose bitset
-// adjacency is Θ(n²/64) memory — fine at this scale, ruinous at the
-// cotree catalog's millions of vertices.
-const maxNonCographN = 4096
-
 // MixedRequests returns a serving workload like Requests whose catalog
 // interleaves non-cograph entries — random trees, random sparse graphs
 // and near-cographs (one P4-inducing edge) — between the cotree
 // instances: two in five entries degrade, so a serving run exercises
 // the tree and approximation fallbacks alongside the exact pipeline.
-// Non-cograph entries are clamped to maxNonCographN vertices (the
-// recognition step is quadratic-bit in n); the cotree entries keep the
-// full size range.
+// Every kind spans the full size range.
 func MixedRequests(seed uint64, count, minLg, maxLg, distinct int) []Request {
 	return MixedRequestsClass(seed, count, minLg, maxLg, distinct, SizeLogUniform)
 }
@@ -371,9 +363,6 @@ func MixedRequestsClass(seed uint64, count, minLg, maxLg, distinct int, class Si
 			}
 		default:
 			return r // cograph, untouched
-		}
-		if r.N > maxNonCographN {
-			r.N = maxNonCographN
 		}
 		r.Shape = Mixed // shapes are cotree silhouettes; irrelevant here
 		return r

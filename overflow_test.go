@@ -2,6 +2,7 @@ package pathcover
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"pathcover/internal/core"
@@ -85,4 +86,36 @@ func TestGeneratorSizeGuard(t *testing.T) {
 		}
 	}()
 	Empty(-3)
+}
+
+// TestFromEdgesAnyAllocationLinear pins the memory bound of edge-list
+// input: building a graph allocates at most 512 bytes per vertex plus
+// edge, however short the request that declares it. (The first case
+// once asked for a 125 GB adjacency matrix.)
+func TestFromEdgesAnyAllocationLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two 1M-vertex graphs")
+	}
+	const n = 1_000_000
+	var c4s [][2]int // disjoint 4-cycles: a sparse cograph with m = n
+	for b := 0; b < n; b += 4 {
+		c4s = append(c4s, [2]int{b, b + 2}, [2]int{b, b + 3}, [2]int{b + 1, b + 2}, [2]int{b + 1, b + 3})
+	}
+	for _, tc := range []struct {
+		name  string
+		edges [][2]int
+	}{{"edgeless", nil}, {"disjoint C4s", c4s}} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		g, err := FromEdgesAny(n, tc.edges, nil)
+		runtime.ReadMemStats(&m1)
+		if err != nil || !g.IsCograph() || g.N() != n {
+			t.Fatalf("%s: FromEdgesAny: %v", tc.name, err)
+		}
+		perItem := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n+len(tc.edges))
+		t.Logf("%s: %.0f B per vertex+edge", tc.name, perItem)
+		if perItem > 512 {
+			t.Errorf("%s: allocated %.0f B per vertex+edge, want <= 512", tc.name, perItem)
+		}
+	}
 }

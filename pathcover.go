@@ -51,12 +51,14 @@ import (
 	"pathcover/internal/verify"
 )
 
-// MaxVertices is the largest vertex count FromEdges and the generators
-// accept. Beyond it the adjacency machinery of recognition could no
-// longer index safely (and on 32-bit hosts int itself could not hold
-// derived ids). The cover pipeline needs no such guard: past the
-// narrow-index bound it falls back to wide kernels automatically instead
-// of truncating.
+// MaxVertices is the largest vertex count FromEdges, FromEdgesAny and
+// the generators accept: edge-list recognition indexes vertices with
+// 32 bits (and on 32-bit hosts int itself could not hold derived ids).
+// Below it, FromEdges and FromEdgesAny take O(n + m) time and memory,
+// so a caller bounds their cost by bounding n and the edge list
+// (pathcoverd caps n at half its body limit). The cover pipeline needs
+// no such guard: past the narrow-index bound it falls back to wide
+// kernels automatically instead of truncating.
 const MaxVertices = math.MaxInt32
 
 // SizeError is the typed error returned (or carried by the panic of a
@@ -131,24 +133,34 @@ func ParseCotree(src string) (*Graph, error) {
 // 0..n-1, recognizing its cotree. It returns an error when the graph is
 // not a cograph (it contains an induced P4). names may be nil.
 //
-// Note: recognition renumbers vertices; use Name to map back (vertex i
-// of the result is named after its original index, "v<k>" by default).
+// Recognition takes O(n + m) time and memory. It renumbers vertices in
+// the cotree's leaf order; use Name to map back (vertex i of the result
+// is named after its original index, "v<k>" by default). The numbering
+// depends only on the edge set, not on edge order or duplicates.
 func FromEdges(n int, edges [][2]int, names []string) (*Graph, error) {
-	if err := checkN(n); err != nil {
+	adj, err := adjacency(n, edges)
+	if err != nil {
 		return nil, err
 	}
-	g := cograph.NewGraph(n)
-	for _, e := range edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, fmt.Errorf("pathcover: edge (%d,%d) out of range", e[0], e[1])
-		}
-		g.AddEdge(e[0], e[1])
-	}
-	t, err := cograph.Recognize(g, names)
+	t, err := cograph.RecognizeAdjacency(adj, names)
 	if err != nil {
 		return nil, err
 	}
 	return &Graph{t: t}, nil
+}
+
+// adjacency validates an edge list and builds its sorted, deduplicated
+// adjacency lists in O(n + m), the one structure recognition and the
+// degraded backends share.
+func adjacency(n int, edges [][2]int) (*cograph.Adjacency, error) {
+	if err := checkN(n); err != nil {
+		return nil, err
+	}
+	adj, err := cograph.NewAdjacency(n, edges)
+	if err != nil {
+		return nil, fmt.Errorf("pathcover: %w", err)
+	}
+	return adj, nil
 }
 
 // Vertex returns the one-vertex cograph.
