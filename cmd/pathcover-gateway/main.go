@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -56,7 +57,7 @@ var (
 	maxBody     = flag.Int64("max-body", 64<<20, "request body size limit in bytes (413 beyond it); also caps the vertices a request may declare at max-body/2, bounding per-request memory")
 
 	// Spawned-node knobs (forwarded to each child daemon).
-	nodeShards  = flag.Int("node-shards", 0, "solver shards per spawned node (0 = GOMAXPROCS/2)")
+	nodeShards  = flag.Int("node-shards", 0, "solver shards per spawned node (0 = GOMAXPROCS, one worker each)")
 	nodeQueue   = flag.Int("node-queue", 0, "admission queue depth per spawned node (0 = 8 per shard)")
 	nodeCacheMB = flag.Int64("node-cache-mb", 64, "result cache MiB per spawned node (0 disables)")
 	nodeVerify  = flag.Bool("node-verify", false, "spawned nodes re-verify every cover before responding")
@@ -73,16 +74,24 @@ func main() {
 		runNode()
 		return
 	}
+	if err := runGateway(); err != nil {
+		log.Fatalf("pathcover-gateway: %v", err)
+	}
+}
 
+// runGateway serves until a signal or a listener error. It returns
+// instead of exiting, so its deferred cleanup — the supervisor's Close
+// above all, which stops the spawned nodes — runs on every path.
+func runGateway() error {
 	var urls []string
 	var sup *cluster.Supervisor
 	switch {
 	case *spawnN > 0 && *nodes != "":
-		log.Fatal("pathcover-gateway: -spawn and -nodes are mutually exclusive")
+		return errors.New("-spawn and -nodes are mutually exclusive")
 	case *spawnN > 0:
 		exe, err := os.Executable()
 		if err != nil {
-			log.Fatalf("pathcover-gateway: %v", err)
+			return err
 		}
 		sup = cluster.NewSupervisor(exe, func(bind string) []string {
 			return []string{
@@ -95,12 +104,10 @@ func main() {
 				"-max-body", fmt.Sprint(*maxBody),
 			}
 		})
-		var err2 error
-		urls, err2 = sup.StartN(*spawnN)
-		if err2 != nil {
-			log.Fatalf("pathcover-gateway: %v", err2)
-		}
 		defer sup.Close()
+		if urls, err = sup.StartN(*spawnN); err != nil {
+			return err
+		}
 	case *nodes != "":
 		for _, u := range strings.Split(*nodes, ",") {
 			if u = strings.TrimSpace(u); u != "" {
@@ -108,10 +115,10 @@ func main() {
 			}
 		}
 	default:
-		log.Fatal("pathcover-gateway: give -nodes or -spawn")
+		return errors.New("give -nodes or -spawn")
 	}
 	if len(urls) == 0 {
-		log.Fatal("pathcover-gateway: no nodes")
+		return errors.New("no nodes")
 	}
 
 	opts := cluster.Options{
@@ -161,7 +168,7 @@ func main() {
 		*addr, len(urls), strings.Join(urls, ", "))
 	select {
 	case err := <-errc:
-		log.Fatalf("pathcover-gateway: %v", err)
+		return err
 	case <-ctx.Done():
 	}
 	log.Printf("pathcover-gateway: shutting down")
@@ -170,6 +177,7 @@ func main() {
 	if err := srv.Shutdown(shutCtx); err != nil {
 		log.Printf("pathcover-gateway: shutdown: %v", err)
 	}
+	return nil
 }
 
 // runNode is the forked child: one internal/daemon server on -node-addr,

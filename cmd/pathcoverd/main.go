@@ -26,7 +26,7 @@ import (
 
 var (
 	addr       = flag.String("addr", ":8080", "listen address")
-	shards     = flag.Int("shards", 0, "solver shards (0 = GOMAXPROCS/2)")
+	shards     = flag.Int("shards", 0, "solver shards (0 = GOMAXPROCS, one worker each; k shards get GOMAXPROCS/k workers each)")
 	queue      = flag.Int("queue", 0, "admission queue depth (0 = 8 per shard, negative = unbounded)")
 	maxBody    = flag.Int64("max-body", 64<<20, "request body size limit in bytes (413 beyond it); also caps the vertices a request may declare at max-body/2, bounding per-request memory")
 	verify     = flag.Bool("verify", false, "re-verify every cover before responding (debugging; O(n) extra per request)")
@@ -42,9 +42,6 @@ var (
 	logSample  = flag.Float64("log-sample", 0, "structured JSON request-log head-sampling rate on stderr: 1 logs every request, 0.01 every hundredth (0 disables)")
 	batchShare = flag.Float64("batch-share", 0.5, "share of the admission queue the /batch tier may occupy, so bulk load cannot starve interactive requests (>=1 disables the gate)")
 	shedAfter  = flag.Duration("shed-after", 0, "cost-shedding budget: when a request's projected queue time exceeds this, covers degrade to the approximation backend and other requests get 503 + Retry-After (0 disables)")
-	adapt      = flag.Bool("adapt", false, "adaptive shard control: grow live shards toward -adapt-max under sustained queue pressure, shrink when idle")
-	adaptMax   = flag.Int("adapt-max", 0, "physical shard ceiling under -adapt (0 = GOMAXPROCS)")
-	adaptEvery = flag.Duration("adapt-interval", 250*time.Millisecond, "adaptive controller tick interval")
 )
 
 func main() {
@@ -78,9 +75,6 @@ func main() {
 		LogSample:      *logSample,
 		BatchShare:     *batchShare,
 		ShedAfter:      *shedAfter,
-		Adapt:          *adapt,
-		AdaptMax:       *adaptMax,
-		AdaptInterval:  *adaptEvery,
 	})
 
 	srv := &http.Server{

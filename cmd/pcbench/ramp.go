@@ -1,14 +1,13 @@
 package main
 
 // A4 — the saturation ramp. Unlike A1–A3, which drive the -attack
-// target, the ramp boots its own in-process daemon with the adaptive
-// controller and cost shedding enabled, because the scenario is about
-// the control plane: offered load doubles stage by stage and the table
-// shows the daemon shedding (degrading covers to the approximation
-// backend, rejecting with 503 + Retry-After) instead of collapsing,
-// while the live shard count — scraped from its own /metrics — grows
-// toward the ceiling. Columns are wall-clock and admission counts, so
-// -compare never gates them (only simtime/simwork columns gate).
+// target, the ramp boots its own in-process daemon with cost shedding
+// enabled, because the scenario is about the control plane: offered
+// load doubles stage by stage and the table shows the daemon shedding
+// (degrading covers to the approximation backend, rejecting with 503 +
+// Retry-After) instead of collapsing. Columns are wall-clock and
+// admission counts, so -compare never gates them (only simtime/simwork
+// columns gate).
 
 import (
 	"bytes"
@@ -18,7 +17,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,7 +24,6 @@ import (
 
 	"pathcover"
 	"pathcover/internal/daemon"
-	"pathcover/internal/metrics"
 )
 
 // rampStage is one load level of the ramp: a client count held for a
@@ -38,23 +35,16 @@ type rampStage struct {
 	degraded int64
 	shed     int64
 	lat      []time.Duration // admitted (HTTP 200) request latencies
-	shards   float64         // pathcoverd_shards after the stage
 }
 
 // runAttackRamp runs the A4 saturation ramp against a self-hosted
-// adaptive daemon and panics unless the ramp demonstrates shedding
-// (degrades or rejects) — and, when more than one shard is possible,
-// shard growth.
+// daemon with the default shard geometry and panics unless the ramp
+// demonstrates shedding (degrades or rejects).
 func runAttackRamp() {
-	maxShards := runtime.GOMAXPROCS(0)
 	s := daemon.New(daemon.Config{
-		Shards:        1,
-		Queue:         -1, // unbounded: the QoS layer, not saturation, does the shedding
-		CacheMB:       0,  // every request must solve, or there is no load to shed
-		ShedAfter:     15 * time.Millisecond,
-		Adapt:         true,
-		AdaptMax:      maxShards,
-		AdaptInterval: 50 * time.Millisecond,
+		Queue:     -1, // unbounded: the QoS layer, not saturation, does the shedding
+		CacheMB:   0,  // every request must solve, or there is no load to shed
+		ShedAfter: 15 * time.Millisecond,
 	})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
@@ -121,30 +111,6 @@ func runAttackRamp() {
 		}
 	}
 
-	// shardsNow scrapes the daemon's own exposition — the same text an
-	// operator's Prometheus would pull — so the table proves the gauge,
-	// not just the internal state.
-	shardsNow := func() float64 {
-		resp, err := client.Get(srv.URL + "/metrics")
-		if err != nil {
-			panic(fmt.Sprintf("A4: scrape /metrics: %v", err))
-		}
-		defer resp.Body.Close()
-		payload, err := io.ReadAll(resp.Body)
-		if err != nil {
-			panic(fmt.Sprintf("A4: scrape /metrics: %v", err))
-		}
-		exp, err := metrics.Parse(string(payload))
-		if err != nil {
-			panic(fmt.Sprintf("A4: /metrics does not parse: %v", err))
-		}
-		v, ok := exp.Value("pathcoverd_shards")
-		if !ok {
-			panic("A4: /metrics is missing pathcoverd_shards")
-		}
-		return v
-	}
-
 	const window = 600 * time.Millisecond
 	results := make([]*rampStage, 0, len(stages))
 	for _, c := range stages {
@@ -192,28 +158,23 @@ func runAttackRamp() {
 		time.Sleep(window)
 		stop.Store(true)
 		wg.Wait()
-		st.shards = shardsNow()
 		results = append(results, st)
 	}
 
-	header(fmt.Sprintf("A4 — saturation ramp, self-hosted adaptive daemon (-adapt, ceiling %d shards, shed budget 15ms), %v per stage",
-		maxShards, window),
-		"clients", "offered", "ok", "degraded", "rejected", "p99 ms", "shards")
+	header(fmt.Sprintf("A4 — saturation ramp, self-hosted daemon (%d shards, shed budget 15ms), %v per stage",
+		s.Pool().NumShards(), window),
+		"clients", "offered", "ok", "degraded", "rejected", "p99 ms")
 	var totDegraded, totShed int64
-	peak := 0.0
 	for _, st := range results {
 		totDegraded += st.degraded
 		totShed += st.shed
-		if st.shards > peak {
-			peak = st.shards
-		}
 		p99 := "-"
 		if len(st.lat) > 0 {
 			sort.Slice(st.lat, func(a, b int) bool { return st.lat[a] < st.lat[b] })
 			p99 = ms(pctl(st.lat, 0.99))
 		}
 		row(fmt.Sprint(st.clients), fmt.Sprint(st.offered), fmt.Sprint(st.ok),
-			fmt.Sprint(st.degraded), fmt.Sprint(st.shed), p99, fmt.Sprintf("%.0f", st.shards))
+			fmt.Sprint(st.degraded), fmt.Sprint(st.shed), p99)
 	}
 
 	// Shed-not-collapse: the ramp must have exercised the QoS layer. A
@@ -221,10 +182,5 @@ func runAttackRamp() {
 	// bound, and the scenario proved nothing.
 	if totDegraded+totShed == 0 {
 		panic("A4: ramp finished without shedding a single request (no degrades, no 503s)")
-	}
-	// Shard adaptation: with more than one shard possible, sustained
-	// pressure must have grown the pool beyond its single starting shard.
-	if maxShards > 1 && peak <= 1 {
-		panic(fmt.Sprintf("A4: controller never grew past 1 shard (ceiling %d)", maxShards))
 	}
 }

@@ -105,20 +105,3 @@ func ExampleWithShardAffinity() {
 	fmt.Println("paths:", cov.NumPaths)
 	// Output: paths: 1
 }
-
-func ExampleWithMaxShards() {
-	// Start small and resize live: WithMaxShards pre-allocates the
-	// physical ceiling, Resize moves the active count within it. This is
-	// the mechanism behind pathcoverd's adaptive controller (-adapt).
-	pool := pathcover.NewPool(pathcover.WithShards(1), pathcover.WithMaxShards(4))
-	defer pool.Close()
-
-	fmt.Println("active:", pool.ActiveShards(), "of", pool.NumShards())
-	if err := pool.Resize(4); err != nil {
-		panic(err)
-	}
-	fmt.Println("active:", pool.ActiveShards(), "resizes:", pool.Stats().Resizes)
-	// Output:
-	// active: 1 of 4
-	// active: 4 resizes: 1
-}

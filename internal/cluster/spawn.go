@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -37,7 +38,9 @@ type ChildInfo struct {
 // announce themselves via ReadyPrefix, and a child that dies (CI's
 // SIGKILL included) is respawned on the same concrete port after a
 // short delay — so an ejected node comes back at its old address and
-// the gateway's probation path readmits it, no reconfiguration.
+// the gateway's probation path readmits it, no reconfiguration. On
+// Linux the children also die with the process that started them, so a
+// supervisor that never reaches Close leaves no node behind.
 type Supervisor struct {
 	exe  string
 	args func(addr string) []string // full child argv for binding addr
@@ -51,6 +54,8 @@ type Supervisor struct {
 	mu       sync.Mutex
 	children []*child
 	closed   bool
+	done     chan struct{}  // closed by Close: stops respawns and ready waits
+	watchers sync.WaitGroup // one watch goroutine per child
 }
 
 type child struct {
@@ -70,6 +75,7 @@ func NewSupervisor(exe string, args func(addr string) []string) *Supervisor {
 		args:         args,
 		ReadyTimeout: 30 * time.Second,
 		RespawnDelay: 200 * time.Millisecond,
+		done:         make(chan struct{}),
 	}
 }
 
@@ -88,17 +94,20 @@ func (s *Supervisor) StartN(n int) ([]string, error) {
 		s.mu.Lock()
 		s.children = append(s.children, c)
 		s.mu.Unlock()
-		go s.watch(c)
+		s.watchers.Add(1)
+		go s.watch(c, cmd)
 		urls = append(urls, "http://"+addr)
 	}
 	return urls, nil
 }
 
 // spawn starts one child bound to bindAddr and waits for its ready
-// line, returning the concrete address it announced.
+// line, returning the concrete address it announced. A Close during
+// the wait kills the child and fails the spawn.
 func (s *Supervisor) spawn(bindAddr string) (*exec.Cmd, string, error) {
 	cmd := exec.Command(s.exe, s.args(bindAddr)...)
 	cmd.Stderr = os.Stderr
+	setDeathSignal(cmd)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, "", err
@@ -133,44 +142,63 @@ func (s *Supervisor) spawn(bindAddr string) (*exec.Cmd, string, error) {
 		cmd.Process.Kill()
 		cmd.Wait()
 		return nil, "", fmt.Errorf("child not ready within %v", s.ReadyTimeout)
+	case <-s.done:
+		cmd.Process.Kill()
+		cmd.Wait()
+		return nil, "", errSupervisorClosed
 	}
 }
 
-// watch waits on a child and respawns it — on the same concrete port,
-// so its ring identity and announced URL stay valid — until Close.
-func (s *Supervisor) watch(c *child) {
+var errSupervisorClosed = errors.New("supervisor closed")
+
+// watch reaps a child and respawns it — on the same concrete port, so
+// its ring identity and announced URL stay valid — until Close. It
+// owns every process it starts: each one is either installed in c,
+// where Close kills it, or killed here when Close ran first.
+func (s *Supervisor) watch(c *child, cmd *exec.Cmd) {
+	defer s.watchers.Done()
 	for {
-		s.mu.Lock()
-		cmd := c.cmd
-		s.mu.Unlock()
 		cmd.Wait()
 		s.mu.Lock()
 		c.alive = false
-		if s.closed {
-			s.mu.Unlock()
+		s.mu.Unlock()
+		if cmd = s.respawn(c.addr); cmd == nil {
 			return
 		}
-		s.mu.Unlock()
-		time.Sleep(s.RespawnDelay)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
+			cmd.Process.Kill()
+			cmd.Wait()
 			return
 		}
-		s.mu.Unlock()
-		next, _, err := s.spawn(c.addr)
-		if err != nil {
-			// The port may need a beat to free after a SIGKILL; retry on
-			// the next loop turn rather than giving up on the node.
-			fmt.Fprintf(os.Stderr, "pathcover-gateway: respawn %s: %v\n", c.addr, err)
-			time.Sleep(time.Second)
-			continue
-		}
-		s.mu.Lock()
-		c.cmd = next
+		c.cmd = cmd
 		c.restarts++
 		c.alive = true
 		s.mu.Unlock()
+	}
+}
+
+// respawn starts a replacement child on addr after RespawnDelay,
+// retrying every second while the spawn fails (the port may need a beat
+// to free after a SIGKILL). It returns nil once Close has run.
+func (s *Supervisor) respawn(addr string) *exec.Cmd {
+	delay := s.RespawnDelay
+	for {
+		select {
+		case <-s.done:
+			return nil
+		case <-time.After(delay):
+		}
+		cmd, _, err := s.spawn(addr)
+		if err == nil {
+			return cmd
+		}
+		if errors.Is(err, errSupervisorClosed) {
+			return nil
+		}
+		fmt.Fprintf(os.Stderr, "pathcover-gateway: respawn %s: %v\n", addr, err)
+		delay = time.Second
 	}
 }
 
@@ -190,23 +218,18 @@ func (s *Supervisor) Children() []ChildInfo {
 	return out
 }
 
-// Close stops respawning and kills every child.
+// Close stops respawning, kills every child and returns once each
+// watch goroutine has reaped its child, so no process the supervisor
+// started outlives it. Close may be called more than once.
 func (s *Supervisor) Close() {
 	s.mu.Lock()
-	s.closed = true
-	procs := make([]*exec.Cmd, 0, len(s.children))
+	if !s.closed {
+		s.closed = true
+		close(s.done)
+	}
 	for _, c := range s.children {
-		if c.cmd != nil {
-			procs = append(procs, c.cmd)
-		}
+		c.cmd.Process.Kill()
 	}
 	s.mu.Unlock()
-	for _, cmd := range procs {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-	}
-	for _, cmd := range procs {
-		cmd.Wait()
-	}
+	s.watchers.Wait()
 }

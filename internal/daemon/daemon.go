@@ -52,7 +52,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,7 +61,8 @@ import (
 // Config sizes one daemon. The zero value serves: every field has the
 // documented default of the corresponding pathcoverd flag.
 type Config struct {
-	// Shards is the solver shard count (0 = GOMAXPROCS/2, at least 1).
+	// Shards is the solver shard count (0 = GOMAXPROCS, one worker
+	// per shard; k shards get GOMAXPROCS/k workers each).
 	Shards int
 	// Queue bounds admitted calls (0 = 8 per shard, negative =
 	// unbounded).
@@ -103,23 +103,13 @@ type Config struct {
 	BatchShare float64
 	// ShedAfter enables cost-based load shedding: when the projected
 	// queue cost of admitting a request — (outstanding vertices + the
-	// request's) × learned ns/vertex ÷ live shards — exceeds this
+	// request's) × learned ns/vertex ÷ shards — exceeds this
 	// budget, unpinned cover requests over explicit edge lists are
 	// downgraded to the approximation backend (a free route switch;
 	// cotree-built graphs would first have to materialise O(m) edges)
 	// and everything else is rejected 503 with Retry-After. 0 disables
 	// shedding.
 	ShedAfter time.Duration
-	// Adapt enables the adaptive shard controller: the live shard count
-	// grows toward AdaptMax under sustained queue pressure and shrinks
-	// back when idle, re-budgeting workers by pram.WorkersForShards at
-	// every size.
-	Adapt bool
-	// AdaptMax is the physical shard ceiling under Adapt (0 =
-	// GOMAXPROCS).
-	AdaptMax int
-	// AdaptInterval is the controller's tick (0 = 250ms).
-	AdaptInterval time.Duration
 }
 
 // Server is one pathcoverd node: a sharded pool, a graph registry and
@@ -136,8 +126,6 @@ type Server struct {
 	reqlog    *reqLogger
 	batchGate *batchGate
 	estimator *costEstimator
-	stop      chan struct{}
-	stopOnce  sync.Once
 }
 
 // New builds a serving node. Call Close to stop the pool's workers.
@@ -158,13 +146,6 @@ func New(cfg Config) *Server {
 	if cfg.Shards > 0 {
 		popts = append(popts, pathcover.WithShards(cfg.Shards))
 	}
-	if cfg.Adapt {
-		max := cfg.AdaptMax
-		if max <= 0 {
-			max = runtime.GOMAXPROCS(0)
-		}
-		popts = append(popts, pathcover.WithMaxShards(max))
-	}
 	if cfg.Queue != 0 {
 		popts = append(popts, pathcover.WithQueueDepth(cfg.Queue))
 	}
@@ -182,7 +163,6 @@ func New(cfg Config) *Server {
 		met:       newServerMetrics(),
 		reqlog:    newReqLogger(cfg.LogOutput, cfg.LogSample),
 		estimator: newCostEstimator(),
-		stop:      make(chan struct{}),
 	}
 	s.batchGate = newBatchGate(cfg.BatchShare, s.pool.QueueDepth())
 	mux := http.NewServeMux()
@@ -196,13 +176,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /graphs/{id}", s.instrument("/graphs/{id}", tierInteractive, s.handleGraphInfo))
 	mux.HandleFunc("DELETE /graphs/{id}", s.instrument("/graphs/{id}", tierInteractive, s.handleGraphDelete))
 	s.mux = mux
-	if cfg.Adapt {
-		interval := cfg.AdaptInterval
-		if interval <= 0 {
-			interval = 250 * time.Millisecond
-		}
-		go s.adapt(interval)
-	}
 	return s
 }
 
@@ -212,11 +185,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Pool exposes the serving pool (boot logging, stats scraping).
 func (s *Server) Pool() *pathcover.Pool { return s.pool }
 
-// Close stops the adaptive controller, then drains and stops the pool.
-// The handler keeps answering (everything solve-shaped fails 503) so a
-// lame-duck period is safe.
+// Close drains and stops the pool. The handler keeps answering
+// (everything solve-shaped fails 503) so a lame-duck period is safe.
 func (s *Server) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
 	s.pool.Close()
 }
 

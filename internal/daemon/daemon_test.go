@@ -125,7 +125,6 @@ func TestMetricsGoldenParse(t *testing.T) {
 		`pathcoverd_request_seconds_count{tier="batch"}`:     1,
 		`pathcoverd_width_route_total{width="int16"}`:        7, // solved covers only: 6 + repeat
 		`pathcoverd_shards`:                                  2,
-		`pathcoverd_shards_max`:                              2,
 	} {
 		if got, ok := exp.Value(key); !ok || got != want {
 			t.Errorf("%s = %v (present=%v), want %v", key, got, ok, want)
@@ -217,76 +216,6 @@ func TestMetricsGoldenParse(t *testing.T) {
 	if d := after.Samples[`pathcoverd_requests_total{endpoint="/cover"}`] -
 		before.Samples[`pathcoverd_requests_total{endpoint="/cover"}`]; d != 80 {
 		t.Errorf("concurrent phase counted %v /cover requests, want 80", d)
-	}
-}
-
-// TestControllerTrace runs the pure controller against a scripted
-// pressure trace: multiplicative growth after sustained high pressure,
-// additive shrinking after sustained idleness, and counter resets on
-// any tick in the healthy band.
-func TestControllerTrace(t *testing.T) {
-	st := &ctlState{}
-	active := 1
-	step := func(p float64) int {
-		active = ctlStep(st, active, 8, p)
-		return active
-	}
-	// Growth requires ctlUpTicks consecutive high ticks, then doubles.
-	if got := step(2.0); got != 1 {
-		t.Fatalf("after 1 high tick: active %d, want 1", got)
-	}
-	if got := step(2.0); got != 2 {
-		t.Fatalf("after 2 high ticks: active %d, want 2", got)
-	}
-	step(5.0)
-	if got := step(5.0); got != 4 {
-		t.Fatalf("second growth: active %d, want 4", got)
-	}
-	// A mid-band tick resets the streak: one high tick after it must
-	// not grow.
-	step(1.0)
-	if got := step(2.0); got != 4 {
-		t.Fatalf("high tick after reset grew early: active %d, want 4", got)
-	}
-	if got := step(2.0); got != 8 {
-		t.Fatalf("third growth: active %d, want 8", got)
-	}
-	// At the ceiling, high pressure is a no-op.
-	for i := 0; i < 5; i++ {
-		if got := step(9.9); got != 8 {
-			t.Fatalf("growth past the ceiling: active %d, want 8", got)
-		}
-	}
-	// Shrinking needs ctlDownTicks consecutive low ticks and steps down
-	// one shard at a time.
-	for i := 0; i < ctlDownTicks-1; i++ {
-		if got := step(0.1); got != 8 {
-			t.Fatalf("shrank after only %d low ticks: active %d", i+1, got)
-		}
-	}
-	if got := step(0.1); got != 7 {
-		t.Fatalf("after %d low ticks: active %d, want 7", ctlDownTicks, got)
-	}
-	// A mid-band tick also resets the shrink streak.
-	for i := 0; i < ctlDownTicks-1; i++ {
-		step(0.0)
-	}
-	step(1.0)
-	for i := 0; i < ctlDownTicks-1; i++ {
-		if got := step(0.0); got != 7 {
-			t.Fatalf("shrink streak survived a mid-band tick: active %d", got)
-		}
-	}
-	if got := step(0.0); got != 6 {
-		t.Fatalf("second shrink: active %d, want 6", got)
-	}
-	// The floor is one shard.
-	st2 := &ctlState{}
-	active = 1
-	for i := 0; i < 3*ctlDownTicks; i++ {
-		if got := ctlStep(st2, active, 8, 0.0); got != 1 {
-			t.Fatalf("shrank below one shard: active %d", got)
-		}
 	}
 }
 
@@ -484,70 +413,6 @@ func TestReqLogSampling(t *testing.T) {
 	}
 	if hits != 25 {
 		t.Errorf("rate 0.25 sampled %d of 100, want exactly 25", hits)
-	}
-}
-
-// TestAdaptiveServerGrows boots a real adaptive daemon with a fast tick
-// and holds enough concurrent load to push pressure over the high water
-// mark, then waits for the controller to grow the live shard fleet.
-func TestAdaptiveServerGrows(t *testing.T) {
-	s := New(Config{
-		Shards: 1, Queue: -1, AdaptMax: 2, Adapt: true,
-		AdaptInterval: 5 * time.Millisecond, LogOutput: io.Discard,
-	})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-
-	// Pre-marshal a few big bodies: each solve spans several controller
-	// ticks, so sustained concurrency keeps in-flight (and therefore
-	// pressure) above the high water mark at every sample.
-	bodies := make([][]byte, 4)
-	for i := range bodies {
-		bodies[i], _ = json.Marshal(cotreeSpec(uint64(i+1), 4000))
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Post(srv.URL+"/cover", "application/json",
-					bytes.NewReader(bodies[(w+i)%len(bodies)]))
-				if err != nil {
-					panic(err)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}(w)
-	}
-	grown := false
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.pool.ActiveShards() == 2 {
-			grown = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if !grown {
-		t.Fatal("controller never grew the pool to 2 shards under sustained load")
-	}
-	exp := scrape(t, srv.URL)
-	if got, _ := exp.Value("pathcoverd_pool_resizes_total"); got < 1 {
-		t.Errorf("pool_resizes_total = %v, want >= 1", got)
-	}
-	if got, _ := exp.Value("pathcoverd_shards_max"); got != 2 {
-		t.Errorf("shards_max = %v, want 2", got)
 	}
 }
 

@@ -163,12 +163,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Cover requests downgraded to the approximation backend instead of shed.",
 		float64(s.met.degraded.Value()))
 
-	mw.Gauge("pathcoverd_shards", "Live solver shards (grows/shrinks under -adapt).",
-		float64(st.ActiveShards))
-	mw.Gauge("pathcoverd_shards_max", "Physical shard ceiling Resize can grow to.",
-		float64(s.pool.NumShards()))
-	mw.Counter("pathcoverd_pool_resizes_total", "Completed live-shard resizes.",
-		float64(st.Resizes))
+	mw.Gauge("pathcoverd_shards", "Solver shards.", float64(s.pool.NumShards()))
 	mw.Gauge("pathcoverd_pool_in_flight", "Admitted calls inside the pool (queued + executing).",
 		float64(st.InFlight))
 	mw.Gauge("pathcoverd_pool_queue_depth", "Admission bound (0 = unbounded).",
@@ -180,7 +175,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Counter("pathcoverd_pool_restarts_total", "Shard solvers rebuilt after a panic.",
 		float64(st.Restarts))
 	mw.Counter("pathcoverd_batches_total", "Batch calls admitted.", float64(st.Batches))
-	mw.Gauge("pathcoverd_arena_bytes", "Retained scratch-arena bytes across live shards.",
+	mw.Gauge("pathcoverd_arena_bytes", "Retained scratch-arena bytes across shards.",
 		float64(st.ArenaBytes))
 
 	shardLoad := make([]metrics.LabelledValue, 0, len(st.Shards))

@@ -101,7 +101,7 @@ const (
 )
 
 // shedCheck projects the queue cost of admitting cost more vertices —
-// (outstanding load + cost) × ns/vertex ÷ live shards — against the
+// (outstanding load + cost) × ns/vertex ÷ shards — against the
 // configured budget. Under budget (or with shedding disabled, or no
 // estimate yet) the request is admitted. Over budget, requests that may
 // degrade — unpinned, non-strict /cover requests whose graph already
@@ -117,11 +117,7 @@ func (s *Server) shedCheck(cost int, canDegrade bool) shedAction {
 	if nsPerV == 0 {
 		return shedAdmit // no data yet: never shed blind
 	}
-	active := s.pool.ActiveShards()
-	if active < 1 {
-		active = 1
-	}
-	projected := (float64(s.pool.Load()) + float64(cost)) * nsPerV / float64(active)
+	projected := (float64(s.pool.Load()) + float64(cost)) * nsPerV / float64(s.pool.NumShards())
 	if projected <= float64(s.cfg.ShedAfter.Nanoseconds()) {
 		return shedAdmit
 	}

@@ -3,8 +3,8 @@
 // fixed-bucket latency histograms, and a text-format writer producing
 // exposition any Prometheus scraper (or the strict Parse in this
 // package) accepts. internal/daemon and internal/cluster render their
-// /metrics endpoints through it; pcbench's A4 ramp and the CI smoke
-// jobs read those endpoints back through Parse.
+// /metrics endpoints through it; the repository benchmark and the
+// serving tests read those endpoints back through Parse.
 //
 // The package deliberately implements only what the serving tier needs:
 // monotone counters, gauges rendered from existing stats snapshots, and

@@ -12,12 +12,13 @@ import "runtime"
 // shards * WorkersForShards(shards) <= GOMAXPROCS always holds.
 
 // DefaultShards is the default shard count for a solver pool on this
-// host: half the scheduler budget, at least one. Half — rather than one
-// shard per processor — keeps two real workers per shard when the host
-// is large enough, so individual covers retain some intra-query
-// parallelism while the pool still serves several queries concurrently.
+// host: one shard per scheduler processor, so each shard runs one
+// worker. Serving-size solves sit below the sequential cutover and run
+// on one thread whatever their worker budget, so a shard per CPU keeps
+// every CPU solving instead of queueing requests behind fewer,
+// wider shards.
 func DefaultShards() int {
-	return max(1, runtime.GOMAXPROCS(0)/2)
+	return runtime.GOMAXPROCS(0)
 }
 
 // WorkersForShards returns the per-shard worker budget for a pool of

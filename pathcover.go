@@ -35,7 +35,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -333,11 +332,11 @@ func (g *Graph) MinPathCoverSize() int {
 // host-budgeted solver fleet: concurrent API callers queue onto shards
 // rather than spawning an unbounded set of worker pools, and one-shot
 // traffic shows up in the same per-shard accounting as explicit Pool
-// traffic. It is sized conservatively — a quarter of GOMAXPROCS as
-// shards, so each shard keeps most of the host's parallel budget and a
-// lone caller's latency stays close to a dedicated Solver's — and its
-// admission queue is unbounded, preserving the historical contract that
-// Graph methods never fail with a load-shedding error.
+// traffic. It has the default geometry — one shard per CPU — and a lone
+// sequential caller stays on shard 0 (see leastLoaded), so it keeps one
+// warm arena. Its admission queue is unbounded, preserving the
+// historical contract that Graph methods never fail with a
+// load-shedding error.
 var (
 	sharedOnce sync.Once
 	shared     *Pool
@@ -345,8 +344,7 @@ var (
 
 func sharedPool() *Pool {
 	sharedOnce.Do(func() {
-		shards := max(1, runtime.GOMAXPROCS(0)/4)
-		shared = NewPool(WithShards(shards), WithQueueDepth(-1))
+		shared = NewPool(WithQueueDepth(-1))
 	})
 	return shared
 }

@@ -45,13 +45,14 @@ func (e *PanicError) Error() string {
 // Unwrap makes every PanicError match errors.Is(err, ErrSolverPanic).
 func (e *PanicError) Unwrap() error { return ErrSolverPanic }
 
-// Pool is a sharded, load-aware solver fleet: N independent Solvers
-// (each with a pinned worker budget sized so the shards together never
-// oversubscribe the host), a least-loaded dispatcher, bounded
-// admission, and per-shard statistics. It is the serving layer of this
-// package — one Pool per process serves concurrent path-cover queries
-// from any number of goroutines, amortising every solver's worker pool,
-// scratch arena and Euler-tour cache across the query stream.
+// Pool is a sharded, load-aware solver fleet: a fixed set of
+// independent Solvers (one per CPU by default, each with a pinned
+// worker budget sized so the shards together never oversubscribe the
+// host), a least-loaded dispatcher, bounded admission, and per-shard
+// statistics. It is the serving layer of this package — one Pool per
+// process serves concurrent path-cover queries from any number of
+// goroutines, amortising every solver's worker pool, scratch arena and
+// Euler-tour cache across the query stream.
 //
 // Unlike Solver, every Pool method is safe for concurrent use and
 // returns results the caller owns (copied out of the shard's arena
@@ -61,18 +62,6 @@ func (e *PanicError) Unwrap() error { return ErrSolverPanic }
 type Pool struct {
 	shards []*poolShard
 	depth  int // admitted-call bound; 0 = unbounded
-
-	// active is the live shard count: dispatch only considers
-	// shards[:active]. It moves between 1 and len(shards) under Resize;
-	// resizeMu serializes resizes (dispatch reads active lock-free).
-	active   atomic.Int64
-	resizeMu sync.Mutex
-	resizes  atomic.Int64
-
-	// Construction inputs replayed when Resize re-equips a shard with a
-	// new worker budget.
-	solverOpts []Option
-	affinity   bool
 
 	// cache, when non-nil (WithCache), is the shard-shared result cache
 	// keyed on canonical graph identity; baseCfg is the shards' common
@@ -93,20 +82,19 @@ type Pool struct {
 // channel (capacity 1) is the shard's lock; a channel rather than a
 // mutex so that waiters can abandon the wait on context cancellation.
 type poolShard struct {
-	id   int
-	slot chan struct{}
-	sv   *Solver      // owned by the slot holder; rebuilt after a panic
-	opts []Option     // construction options, replayed on rebuild
-	load atomic.Int64 // outstanding vertices (queued + executing)
+	id      int
+	slot    chan struct{}
+	sv      *Solver      // owned by the slot holder; rebuilt after a panic
+	opts    []Option     // construction options, replayed on rebuild
+	workers int          // worker budget, fixed at construction
+	load    atomic.Int64 // outstanding vertices (queued + executing)
 
 	// statsMu guards the shard's serving record as one unit, so Stats
 	// snapshots a consistent row: a reader can never observe a call's
 	// vertices without its sim counters, or a rebuilt Solver without its
-	// restart tick. calls stays atomic on top of the mutex because the
-	// leastLoaded tie-break reads it lock-free on the dispatch path.
+	// restart tick.
 	statsMu  sync.Mutex
-	workers  int // worker budget of the current sv
-	calls    atomic.Int64
+	calls    int64
 	vertices int64
 	simTime  int64
 	simWork  int64
@@ -115,12 +103,12 @@ type poolShard struct {
 }
 
 // record commits one served call to the shard's stats row. Called with
-// the shard's slot held, so reading sv here cannot race a restart or
-// resize swap.
+// the shard's slot held, so reading sv here cannot race a restart
+// swap.
 func (sh *poolShard) record(n int, st Stats) {
 	arena := sh.sv.ArenaBytes()
 	sh.statsMu.Lock()
-	sh.calls.Add(1)
+	sh.calls++
 	sh.vertices += int64(n)
 	sh.simTime += st.Time
 	sh.simWork += st.Work
@@ -130,7 +118,6 @@ func (sh *poolShard) record(n int, st Stats) {
 
 type poolConfig struct {
 	shards     int
-	maxShards  int   // physical shard ceiling for Resize; 0 = shards
 	queue      int   // 0 = default, negative = unbounded
 	cacheBytes int64 // 0 = uncached
 	affinity   bool
@@ -140,28 +127,14 @@ type poolConfig struct {
 // PoolOption configures NewPool.
 type PoolOption func(*poolConfig)
 
-// WithShards fixes the shard count. The default is half of GOMAXPROCS
-// (at least one): enough shards for concurrent queries while each shard
-// keeps a multi-worker Sim on larger hosts.
+// WithShards fixes the shard count. The default is GOMAXPROCS shards
+// of one worker each (pram.DefaultShards); k shards get GOMAXPROCS/k
+// workers each (at least one), so fewer, wider shards trade concurrent
+// queries for intra-query parallelism on large graphs.
 func WithShards(n int) PoolOption {
 	return func(c *poolConfig) {
 		if n > 0 {
 			c.shards = n
-		}
-	}
-}
-
-// WithMaxShards raises the pool's physical shard ceiling above its
-// starting count, so Resize can later grow the live fleet up to n
-// without rebuilding the pool. Shards between the live count and the
-// ceiling cost almost nothing while inactive (a Solver creates its
-// worker pool lazily, on first call). If n is not above the starting
-// shard count it is ignored; the ceiling is then the starting count and
-// Resize can only shrink.
-func WithMaxShards(n int) PoolOption {
-	return func(c *poolConfig) {
-		if n > 0 {
-			c.maxShards = n
 		}
 	}
 }
@@ -195,10 +168,12 @@ func WithShardAffinity() PoolOption {
 	return func(c *poolConfig) { c.affinity = true }
 }
 
-// NewPool builds the shard fleet. Each shard's Solver gets
-// pram-budgeted workers (GOMAXPROCS/shards, at least 1), so the whole
-// pool respects the host's parallelism budget no matter how many
-// queries are in flight. Call Close to stop every shard's worker pool.
+// NewPool builds the shard fleet: GOMAXPROCS shards unless WithShards
+// says otherwise. Each shard's Solver gets pram-budgeted workers
+// (GOMAXPROCS/shards, at least 1), so the whole pool respects the
+// host's parallelism budget no matter how many queries are in flight.
+// The geometry is fixed for the pool's lifetime. Call Close to stop
+// every shard's worker pool.
 func NewPool(opts ...PoolOption) *Pool {
 	var cfg poolConfig
 	for _, o := range opts {
@@ -215,15 +190,20 @@ func NewPool(opts ...PoolOption) *Pool {
 	case depth < 0:
 		depth = 0
 	}
-	phys := m
-	if cfg.maxShards > phys {
-		phys = cfg.maxShards
-	}
 	w := pram.WorkersForShards(m)
-	p := &Pool{depth: depth, solverOpts: cfg.solverOpts, affinity: cfg.affinity}
-	p.active.Store(int64(m))
-	for i := 0; i < phys; i++ {
-		sopts := p.shardOpts(i, w)
+	p := &Pool{depth: depth}
+	for i := 0; i < m; i++ {
+		// The pinned WithWorkers comes first so the caller's shard
+		// options can override it; the affinity CPU set rides in the
+		// options, so a Solver rebuilt after a panic is pinned the same.
+		sopts := append([]Option{WithWorkers(w)}, cfg.solverOpts...)
+		if cfg.affinity && pram.AffinitySupported() {
+			cpus := make([]int, w)
+			for j := range cpus {
+				cpus[j] = (i*w + j) % runtime.NumCPU()
+			}
+			sopts = append(sopts, withCPUSet(cpus))
+		}
 		sv := NewSolver(sopts...)
 		p.shards = append(p.shards, &poolShard{
 			id:      i,
@@ -242,27 +222,8 @@ func NewPool(opts ...PoolOption) *Pool {
 	return p
 }
 
-// shardOpts builds shard i's Solver options for a per-shard worker
-// budget of w: the pool's common solver options under a pinned
-// WithWorkers, plus the affinity CPU set when enabled.
-func (p *Pool) shardOpts(i, w int) []Option {
-	sopts := append([]Option{WithWorkers(w)}, p.solverOpts...)
-	if p.affinity && pram.AffinitySupported() {
-		cpus := make([]int, w)
-		for j := range cpus {
-			cpus[j] = (i*w + j) % runtime.NumCPU()
-		}
-		sopts = append(sopts, withCPUSet(cpus))
-	}
-	return sopts
-}
-
-// NumShards returns the physical shard count — the ceiling Resize can
-// grow to. ActiveShards reports how many currently serve.
+// NumShards returns the pool's shard count.
 func (p *Pool) NumShards() int { return len(p.shards) }
-
-// ActiveShards reports how many shards currently receive dispatch.
-func (p *Pool) ActiveShards() int { return int(p.active.Load()) }
 
 // InFlight reports how many admitted calls are inside the pool right
 // now (queued plus executing).
@@ -273,8 +234,8 @@ func (p *Pool) QueueDepth() int { return p.depth }
 
 // Load reports the pool's outstanding dispatch load: the sum over
 // shards of queued-plus-executing vertices (each call also counts 1, so
-// empty graphs still register). This is the pressure signal the
-// adaptive controller in internal/daemon steers shard count by.
+// empty graphs still register). internal/daemon's cost-based shedding
+// projects queue time from it.
 func (p *Pool) Load() int64 {
 	total := int64(0)
 	for _, sh := range p.shards {
@@ -283,88 +244,17 @@ func (p *Pool) Load() int64 {
 	return total
 }
 
-// Resize sets the live shard count to k (clamped to 1..NumShards) and
-// re-equips each live shard whose worker budget changed with a fresh
-// Solver sized by pram.WorkersForShards(k), so shards×workers keeps
-// respecting the host budget at every size. Each swap waits for the
-// shard's in-flight call to finish (the swap holds the shard's slot),
-// so a live request never loses its Solver mid-solve; the shard's warm
-// arena is rebuilt from scratch, which is why callers should resize on
-// sustained pressure changes, not per-request noise. Shrinking only
-// stops new dispatch to the dropped shards — calls already queued on
-// them complete normally. The admission bound is fixed at construction
-// and does not scale with resizes. Safe for concurrent use; returns
-// ErrPoolClosed after Close.
-func (p *Pool) Resize(k int) error {
-	if k < 1 {
-		k = 1
-	}
-	if k > len(p.shards) {
-		k = len(p.shards)
-	}
-	p.resizeMu.Lock()
-	defer p.resizeMu.Unlock()
-	if p.closed.Load() {
-		return ErrPoolClosed
-	}
-	cur := int(p.active.Load())
-	if k == cur {
-		return nil
-	}
-	w := pram.WorkersForShards(k)
-	if k < cur {
-		// Shrink: stop dispatching to the tail first, then grow the
-		// survivors' budgets.
-		p.active.Store(int64(k))
-	}
-	for i := 0; i < k; i++ {
-		if err := p.reequip(p.shards[i], w); err != nil {
-			return err
-		}
-	}
-	if k > cur {
-		// Grow: budgets are in place, open the new shards for dispatch.
-		p.active.Store(int64(k))
-	}
-	p.resizes.Add(1)
-	return nil
-}
-
-// reequip swaps sh's Solver for one with worker budget w (no-op when
-// the budget already matches). Called with resizeMu held; takes the
-// shard's slot so the swap waits out any in-flight call and is
-// invisible to dispatchers.
-func (p *Pool) reequip(sh *poolShard, w int) error {
-	sh.slot <- struct{}{}
-	defer func() { <-sh.slot }()
-	if p.closed.Load() {
-		return ErrPoolClosed
-	}
-	if sh.workers == w {
-		return nil
-	}
-	old := sh.sv
-	opts := p.shardOpts(sh.id, w)
-	sv := NewSolver(opts...)
-	sh.statsMu.Lock()
-	sh.sv = sv
-	sh.opts = opts
-	sh.workers = sv.Workers()
-	sh.statsMu.Unlock()
-	old.Close()
-	return nil
-}
-
-// leastLoaded picks the live shard with the smallest outstanding vertex
-// load (ties broken by fewest completed calls, then lowest id). Load is
-// added before the slot wait, so concurrent dispatchers spread out.
+// leastLoaded picks the shard with the smallest outstanding vertex
+// load, ties going to the lowest id. Load is added before the slot
+// wait, so concurrent dispatchers spread out. The lowest-id tie-break
+// keeps a lone sequential caller on shard 0: on an idle pool every
+// shard ties, and spreading such a caller round the shards would grow
+// a warm, full-size arena on each of them.
 func (p *Pool) leastLoaded() *poolShard {
-	live := p.shards[:p.active.Load()]
-	best := live[0]
-	for _, sh := range live[1:] {
-		bl, sl := best.load.Load(), sh.load.Load()
-		if sl < bl || (sl == bl && sh.calls.Load() < best.calls.Load()) {
-			best = sh
+	best, bl := p.shards[0], p.shards[0].load.Load()
+	for _, sh := range p.shards[1:] {
+		if l := sh.load.Load(); l < bl {
+			best, bl = sh, l
 		}
 	}
 	return best
@@ -444,7 +334,6 @@ func (p *Pool) restartShard(sh *poolShard) {
 	sv := NewSolver(sh.opts...)
 	sh.statsMu.Lock()
 	sh.sv = sv
-	sh.workers = sv.Workers()
 	sh.restarts++
 	sh.statsMu.Unlock()
 	func() {
@@ -733,7 +622,7 @@ func (p *Pool) batchSegments(gs []*Graph) [][]int {
 		}
 		return false
 	})
-	k := int(p.active.Load())
+	k := len(p.shards)
 	total := 0
 	for _, g := range gs {
 		total += g.N() + 1
@@ -791,10 +680,6 @@ type ShardStats struct {
 	// ArenaBytes is the shard Solver's retained arena footprint as of
 	// its most recent completed call (see Solver.ArenaBytes).
 	ArenaBytes int64 `json:"arena_bytes"`
-	// Active reports whether the shard currently receives dispatch
-	// (false for shards beyond the live count after a shrink, or not yet
-	// grown into under WithMaxShards).
-	Active bool `json:"active"`
 }
 
 // PoolStats aggregates the pool's serving counters: per-shard records
@@ -813,13 +698,9 @@ type PoolStats struct {
 	Restarts   int64        `json:"restarts"`
 	InFlight   int64        `json:"in_flight"`
 	QueueDepth int          `json:"queue_depth"`
-	// ActiveShards is the live shard count (see Resize); Resizes counts
-	// completed resizes since construction. ArenaBytes totals the live
-	// shards' retained arena footprints.
-	ActiveShards int         `json:"active_shards"`
-	Resizes      int64       `json:"resizes"`
-	ArenaBytes   int64       `json:"arena_bytes"`
-	Cache        *CacheStats `json:"cache,omitempty"`
+	// ArenaBytes totals the shards' retained arena footprints.
+	ArenaBytes int64       `json:"arena_bytes"`
+	Cache      *CacheStats `json:"cache,omitempty"`
 }
 
 // Stats snapshots the pool's counters. Safe to call concurrently with
@@ -830,27 +711,24 @@ type PoolStats struct {
 // sequence, not one global cut.
 func (p *Pool) Stats() PoolStats {
 	st := PoolStats{
-		Batches:      p.batches.Load(),
-		Rejected:     p.rejected.Load(),
-		Canceled:     p.canceled.Load(),
-		InFlight:     p.inflight.Load(),
-		QueueDepth:   p.depth,
-		ActiveShards: int(p.active.Load()),
-		Resizes:      p.resizes.Load(),
+		Batches:    p.batches.Load(),
+		Rejected:   p.rejected.Load(),
+		Canceled:   p.canceled.Load(),
+		InFlight:   p.inflight.Load(),
+		QueueDepth: p.depth,
 	}
 	for _, sh := range p.shards {
 		sh.statsMu.Lock()
 		row := ShardStats{
 			Shard:      sh.id,
 			Workers:    sh.workers,
-			Calls:      sh.calls.Load(),
+			Calls:      sh.calls,
 			Vertices:   sh.vertices,
 			SimTime:    sh.simTime,
 			SimWork:    sh.simWork,
 			Load:       sh.load.Load(),
 			Restarts:   sh.restarts,
 			ArenaBytes: sh.arena,
-			Active:     sh.id < st.ActiveShards,
 		}
 		sh.statsMu.Unlock()
 		st.Shards = append(st.Shards, row)
@@ -859,9 +737,7 @@ func (p *Pool) Stats() PoolStats {
 		st.SimTime += row.SimTime
 		st.SimWork += row.SimWork
 		st.Restarts += row.Restarts
-		if row.Active {
-			st.ArenaBytes += row.ArenaBytes
-		}
+		st.ArenaBytes += row.ArenaBytes
 	}
 	if p.cache != nil {
 		cs := p.cache.Stats()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pathcover/internal/pram"
 	"pathcover/internal/workload"
 )
 
@@ -344,27 +345,65 @@ func TestPoolCoverAllocsSteady(t *testing.T) {
 	}
 }
 
-// TestPoolDefaults: the zero-option pool derives its shard count and
-// per-shard worker budget from the host without oversubscribing.
+// TestPoolDefaults: the zero-option pool runs one single-worker shard
+// per scheduler processor.
 func TestPoolDefaults(t *testing.T) {
 	p := NewPool()
 	defer p.Close()
-	if p.NumShards() < 1 {
-		t.Fatalf("no shards")
+	if p.NumShards() != pram.DefaultShards() {
+		t.Fatalf("NumShards = %d, want DefaultShards %d", p.NumShards(), pram.DefaultShards())
 	}
 	st := p.Stats()
 	if st.QueueDepth != 8*p.NumShards() {
 		t.Errorf("default queue depth %d, want %d", st.QueueDepth, 8*p.NumShards())
 	}
-	budget := 0
 	for _, sh := range st.Shards {
-		budget += sh.Workers
-	}
-	if p.NumShards() > 1 && budget > 8*p.NumShards() {
-		t.Errorf("implausible worker budget %d across %d shards", budget, p.NumShards())
+		if sh.Workers != pram.WorkersForShards(p.NumShards()) {
+			t.Errorf("shard %d workers = %d, want %d", sh.Shard, sh.Workers, pram.WorkersForShards(p.NumShards()))
+		}
 	}
 	cov, err := p.MinimumPathCover(context.Background(), Random(1, 512, Mixed))
 	if err != nil || cov.NumPaths < 1 {
 		t.Fatalf("default pool cover: %+v err=%v", cov, err)
+	}
+}
+
+// TestPoolWorkerBudget checks that k shards each get
+// pram.WorkersForShards(k) workers, so shards×workers never
+// oversubscribes the host.
+func TestPoolWorkerBudget(t *testing.T) {
+	for _, k := range []int{1, 2, 3} {
+		p := NewPool(WithShards(k))
+		for _, row := range p.Stats().Shards {
+			if want := pram.WorkersForShards(k); row.Workers != want {
+				t.Errorf("%d shards: shard %d workers = %d, want %d", k, row.Shard, row.Workers, want)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestPoolTieBreakLowestShard pins the dispatcher's tie-break: on an
+// idle pool every shard ties at zero load, and the call goes to the
+// lowest id. A lone sequential caller therefore stays on shard 0 and
+// keeps a single warm arena, instead of growing one on every shard.
+func TestPoolTieBreakLowestShard(t *testing.T) {
+	p := NewPool(WithShards(2))
+	defer p.Close()
+	for i := 0; i < 10; i++ {
+		cov, err := p.MinimumPathCover(context.Background(), Random(uint64(i+1), 64+8*i, Balanced))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cov.Shard != 0 {
+			t.Fatalf("call %d landed on shard %d, want 0", i, cov.Shard)
+		}
+	}
+	st := p.Stats()
+	if st.Shards[0].Calls != 10 {
+		t.Errorf("shard 0 served %d calls, want 10", st.Shards[0].Calls)
+	}
+	if st.Shards[1].ArenaBytes != 0 {
+		t.Errorf("shard 1 ArenaBytes = %d, want 0", st.Shards[1].ArenaBytes)
 	}
 }
