@@ -34,7 +34,6 @@ var (
 		"per-request deadline enforced inside the solve pipeline; requests over it get 504 (0 disables)")
 	cacheMB    = flag.Int64("cache-mb", 64, "canonical-identity result cache capacity in MiB (0 disables)")
 	maxGraphs  = flag.Int("max-graphs", 0, "registered-graph capacity for POST /graphs (0 = default 1024)")
-	affinity   = flag.Bool("affinity", false, "pin each shard's workers to a disjoint CPU set (Linux; no-op elsewhere)")
 	retryAfter = flag.Duration("retry-after", time.Second,
 		"backoff hint set on 503 responses via the Retry-After header (rounded to whole seconds, minimum 1s)")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile covering the daemon's lifetime to this file on shutdown (pprof format; feeds default.pgo for PGO builds)")
@@ -70,7 +69,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		CacheMB:        *cacheMB,
 		MaxGraphs:      *maxGraphs,
-		Affinity:       *affinity,
 		RetryAfter:     *retryAfter,
 		LogSample:      *logSample,
 		BatchShare:     *batchShare,

@@ -89,19 +89,3 @@ func ExampleWithCache() {
 	// paths: 1 shard: -1
 	// hits: 1 misses: 1
 }
-
-func ExampleWithShardAffinity() {
-	// Pin each shard's workers to a disjoint CPU set so working sets
-	// stay in their cores' private caches (Linux; a no-op elsewhere and
-	// on single-CPU hosts — always safe to request).
-	pool := pathcover.NewPool(pathcover.WithShards(2), pathcover.WithShardAffinity())
-	defer pool.Close()
-
-	cov, err := pool.MinimumPathCover(context.Background(),
-		pathcover.MustParseCotree("(1 (0 a b) c)"))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("paths:", cov.NumPaths)
-	// Output: paths: 1
-}

@@ -1,6 +1,6 @@
 // Serving: the sharded Pool as a multi-tenant query layer — concurrent
-// single covers from many goroutines, a locality-grouped batch, bounded
-// admission, and the per-shard accounting.
+// single covers from many goroutines, a batch split across the shards,
+// bounded admission, and the per-shard accounting.
 package main
 
 import (
@@ -55,9 +55,9 @@ func main() {
 	}
 	wg.Wait()
 
-	// A batch: the pool groups same-width/similar-size requests (and
-	// repeats of the identical graph) per shard before solving, so each
-	// shard's arena sees a homogeneous request stream.
+	// A batch: the pool splits it in input order into one contiguous
+	// segment per shard, balanced by vertex count, and returns the
+	// covers in input order.
 	batch := []*pathcover.Graph{
 		catalog[0], catalog[1], catalog[0], catalog[2], catalog[0], catalog[3],
 	}

@@ -329,15 +329,13 @@ func coverBinIx[I par.Ix](s *pram.Sim, b *cotree.BinIx[I], L []I, opt Options) (
 		return nil, err
 	}
 	t0, w0 := s.Time(), s.Work()
-	tour, tourOwned := par.AcquireTourIx(s, b.BinTree, opt.Seed^0x9e37)
+	tour := par.TourBinaryIx(s, b.BinTree, opt.Seed^0x9e37)
 	t0, w0 = opt.Trace.add(s, "3a euler tour", t0, w0)
 	p := computePIx(s, b, L, tour) // Step 3 (Lemma 2.4)
 	t0, w0 = opt.Trace.add(s, "3b p(u) contraction", t0, w0)
 	red := reduceIx(s, b, L, p, tour)
 	t0, w0 = opt.Trace.add(s, "3c reduction", t0, w0)
-	if tourOwned {
-		tour.Release(s)
-	}
+	tour.Release(s)
 	if err := opt.checkStep("step4"); err != nil {
 		red.Release(s)
 		return nil, err

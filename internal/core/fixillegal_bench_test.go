@@ -9,9 +9,8 @@ import (
 
 // BenchmarkFixIllegal isolates Step 6 on random canonical cotrees (the
 // family that actually exercises the exchange, unlike the regular
-// workload shapes whose instances converge with zero swaps). Run with
-// PATHCOVER_DISABLE_TOUR_CACHE=1 to measure the per-round
-// tour-rebuild baseline the Euler-tour cache replaces.
+// workload shapes whose instances converge with zero swaps). Every
+// exchange round rebuilds the pseudo forest's Euler tour.
 func BenchmarkFixIllegal(b *testing.B) {
 	rng := rand.New(rand.NewPCG(0, 77))
 	tr := randomTree(rng, 60000)

@@ -70,27 +70,14 @@ func hamCycleIx[I par.Ix](s *pram.Sim, t *cotree.Tree, opt Options) ([]int, bool
 		release()
 		return nil, false, nil
 	}
-	// The tour is borrowed across the nested coverBinIx run below, so pin
-	// the cache entry: inner acquisitions then build private tours instead
-	// of evicting this one.
-	tour, tourOwned := par.AcquireTourIx(s, b.BinTree, opt.Seed^0x5ca1e)
-	if !tourOwned {
-		par.PinTourCacheIx[I](s)
-	}
-	doneTour := func() {
-		if tourOwned {
-			tour.Release(s)
-		} else {
-			par.UnpinTourCacheIx[I](s)
-		}
-	}
+	tour := par.TourBinaryIx(s, b.BinTree, opt.Seed^0x5ca1e)
 	p := computePIx(s, b, L, tour)
 	v, w := b.Left[root], b.Right[root]
 	k := int(L[w])
 	pv := p[v]
 	pram.Release(s, p)
 	if int(pv) > k {
-		doneTour()
+		tour.Release(s)
 		release()
 		return nil, false, nil
 	}
@@ -111,7 +98,7 @@ func hamCycleIx[I par.Ix](s *pram.Sim, t *cotree.Tree, opt Options) ([]int, bool
 	sub.Release(s)
 	if err != nil {
 		pram.Release(s, fromSub)
-		doneTour()
+		tour.Release(s)
 		release()
 		return nil, false, err
 	}
@@ -160,7 +147,7 @@ func hamCycleIx[I par.Ix](s *pram.Sim, t *cotree.Tree, opt Options) ([]int, bool
 		pram.Release(s, pathEnd)
 		pram.Release(s, segEnd)
 		pram.Release(s, endsBefore)
-		doneTour()
+		tour.Release(s)
 		release()
 		return nil, false, fmt.Errorf("core: cycle split produced %d segments, want %d", int(totalEnds), k)
 	}
@@ -180,7 +167,7 @@ func hamCycleIx[I par.Ix](s *pram.Sim, t *cotree.Tree, opt Options) ([]int, bool
 	pram.Release(s, segEnd)
 	pram.Release(s, endsBefore)
 	pram.Release(s, ws)
-	doneTour()
+	tour.Release(s)
 	release()
 	return toIntSlice(s, cycle), true, nil
 }

@@ -172,6 +172,13 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 	ni := len(insRanks)
 	defer pram.Release(s, insRanks)
 
+	// isLeft[x] records which side of its parent x hangs on, set each
+	// round from the parent's side; an exchange reads the bits of its own
+	// two nodes instead of their parents' child slots, which a concurrent
+	// exchange of a sibling may be rewriting.
+	isLeft := pram.Grab[bool](s, N)
+	defer pram.Release(s, isLeft)
+
 	sentinel := par.MinIx[I]()
 	totalSwaps := 0
 	const maxRounds = 48
@@ -179,10 +186,7 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 		if round >= maxRounds {
 			return totalSwaps, fmt.Errorf("core: illegal-insert exchange did not converge in %d rounds", maxRounds)
 		}
-		// Round 0 builds (and caches) the tour; later rounds refresh the
-		// cached one in place from the swap patches recorded below,
-		// replaying the charges a from-scratch rebuild would issue.
-		tour, tourOwned := par.AcquireTourIx(s, ps.BinTree, seed+uint64(round))
+		tour := par.TourBinaryIx(s, ps.BinTree, seed+uint64(round))
 
 		// Effective neighbours: nearest non-dummy left/right in inorder.
 		lastReal := pram.GrabNoClear[I](s, N)
@@ -250,6 +254,12 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 		illegal := pram.Grab[bool](s, N)
 		s.ForCostRange(N, 4, func(lo, hi int) {
 			for x := lo; x < hi; x++ {
+				if l := ps.Left[x]; l >= 0 {
+					isLeft[l] = true
+				}
+				if r := ps.Right[x]; r >= 0 {
+					isLeft[r] = false
+				}
 				role := red.RoleOf(x)
 				if role != RoleInsert && role != RoleDummy {
 					continue
@@ -258,9 +268,7 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 					sameLevelW(x, effNeighbor(x, false))
 			}
 		})
-		if tourOwned {
-			tour.Release(s)
-		}
+		tour.Release(s)
 		pram.Release(s, lastReal)
 		pram.Release(s, prevReal)
 		pram.Release(s, rev)
@@ -335,10 +343,8 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 		// (k+round)-mod-legalCount legal dummy of u (the rotation breaks
 		// potential ping-pong cycles across rounds).
 		missing := pram.Grab[I](s, ni)
-		partner := pram.GrabNoClear[I](s, ni) // dummy swapped with insert k, or -1
 		s.ForCostRange(ni, 4, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
-				partner[k] = -1
 				x := red.VertAt[insRanks[k]]
 				if !illegal[x] {
 					continue
@@ -356,22 +362,10 @@ func fixIllegalIx[I par.Ix](s *pram.Sim, ps *PseudoIx[I], red *ReductionIx[I], s
 					missing[k] = 1
 					continue
 				}
-				swapPositions(ps, x, d)
-				partner[k] = d
+				swapPositions(ps, isLeft, x, d)
 			}
 		})
 		nm := par.Reduce(s, missing, 0, func(a, b I) I { return a + b })
-		if !tourOwned {
-			// Patch the cached tour's successor links for every swap the
-			// phase performed, so the next round refreshes it with a single
-			// walk instead of a from-scratch rebuild (host-level, uncharged).
-			for k := 0; k < ni; k++ {
-				if d := partner[k]; d >= 0 {
-					par.PatchTourSwapIx(s, ps.BinTree, red.VertAt[insRanks[k]], d)
-				}
-			}
-		}
-		pram.Release(s, partner)
 		pram.Release(s, illegal)
 		pram.Release(s, insScan)
 		pram.Release(s, dumItems)
@@ -394,12 +388,13 @@ type segIx[I par.Ix] struct {
 }
 
 // swapPositions exchanges the tree positions of x and y, carrying their
-// subtrees along (only the parent links and the two parents' child slots
-// change).
-func swapPositions[I par.Ix](ps *PseudoIx[I], x, y I) {
+// subtrees along (only the parent links, the side bits and the two
+// parents' child slots change). It reads the side of x and y from
+// isLeft, never a parent's child slot, so exchanges of siblings can run
+// in one phase.
+func swapPositions[I par.Ix](ps *PseudoIx[I], isLeft []bool, x, y I) {
 	px, py := ps.Parent[x], ps.Parent[y]
-	xLeft := px >= 0 && ps.Left[px] == x
-	yLeft := py >= 0 && ps.Left[py] == y
+	xLeft, yLeft := isLeft[x], isLeft[y]
 	if px >= 0 {
 		if xLeft {
 			ps.Left[px] = y
@@ -415,6 +410,7 @@ func swapPositions[I par.Ix](ps *PseudoIx[I], x, y I) {
 		}
 	}
 	ps.Parent[x], ps.Parent[y] = py, px
+	isLeft[x], isLeft[y] = yLeft, xLeft
 }
 
 // Bypass is Step 7: dummy vertices are spliced out. A dummy has at most
@@ -489,7 +485,7 @@ func extractPathsIx[I par.Ix](s *pram.Sim, final par.BinTreeIx[I], seed uint64) 
 	if n == 0 {
 		return nil, nil
 	}
-	tour, tourOwned := par.AcquireTourIx(s, final, seed)
+	tour := par.TourBinaryIx(s, final, seed)
 	size, leaves := tour.SubtreeCounts(s, final)
 	pram.Release(s, leaves)
 	// Global inorder sequence; trees occupy consecutive blocks in root
@@ -511,8 +507,6 @@ func extractPathsIx[I par.Ix](s *pram.Sim, final par.BinTreeIx[I], seed uint64) 
 	pram.Release(s, size)
 	pram.Release(s, sizes)
 	pram.Release(s, offs)
-	if tourOwned {
-		tour.Release(s)
-	}
+	tour.Release(s)
 	return paths, seq
 }

@@ -478,12 +478,10 @@ func scanOffsetIx[I par.Ix](s *pram.Sim, in []I, base I) (off []I, total int) {
 // node of the binarized cotree (paper Step 2, via the Euler tour of
 // Lemma 5.2).
 func (b *BinIx[I]) LeafCounts(s *pram.Sim, seed uint64) []I {
-	tour, owned := par.AcquireTourIx(s, b.BinTree, seed)
+	tour := par.TourBinaryIx(s, b.BinTree, seed)
 	size, leaves := tour.SubtreeCounts(s, b.BinTree)
 	pram.Release(s, size)
-	if owned {
-		tour.Release(s)
-	}
+	tour.Release(s)
 	return leaves
 }
 
@@ -492,17 +490,6 @@ func (b *BinIx[I]) LeafCounts(s *pram.Sim, seed uint64) []I {
 // represented graph. It returns L.
 func (b *BinIx[I]) MakeLeftist(s *pram.Sim, seed uint64) []I {
 	leaves := b.LeafCounts(s, seed)
-	// Host-level look-ahead (uncharged): when the tree is already
-	// leftist, the swap phase below mutates nothing and the Euler tour
-	// LeafCounts left in the cache stays valid for Step 3.
-	willSwap := false
-	for u, nn := 0, b.NumNodes(); u < nn; u++ {
-		l, r := b.Left[u], b.Right[u]
-		if l >= 0 && r >= 0 && leaves[l] < leaves[r] {
-			willSwap = true
-			break
-		}
-	}
 	s.ParallelForRange(b.NumNodes(), func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			l, r := b.Left[u], b.Right[u]
@@ -511,9 +498,6 @@ func (b *BinIx[I]) MakeLeftist(s *pram.Sim, seed uint64) []I {
 			}
 		}
 	})
-	if willSwap {
-		par.TouchCachedTourIx(s, b.BinTree)
-	}
 	return leaves
 }
 

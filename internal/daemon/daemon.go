@@ -81,9 +81,6 @@ type Config struct {
 	CacheMB int64
 	// MaxGraphs caps the registered-graph store (0 = default 1024).
 	MaxGraphs int
-	// Affinity pins each shard's workers to a disjoint CPU set (Linux;
-	// no-op elsewhere).
-	Affinity bool
 	// RetryAfter is the hint set on 503 responses (Retry-After header,
 	// whole seconds, minimum 1). 0 defaults to one second.
 	RetryAfter time.Duration
@@ -151,9 +148,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheMB > 0 {
 		popts = append(popts, pathcover.WithCache(cfg.CacheMB<<20))
-	}
-	if cfg.Affinity {
-		popts = append(popts, pathcover.WithShardAffinity())
 	}
 	s := &Server{
 		cfg:       cfg,

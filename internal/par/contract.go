@@ -151,9 +151,17 @@ func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64,
 	f := pram.GrabNoClear[MaxPlus](s, n)
 	num := pram.Grab[I](s, n)
 	isLeaf := pram.GrabNoClear[bool](s, n)
+	// isLeft[v] records which side of its parent v hangs on. A rake
+	// reads the bits of its own x and p and writes the bit of sib, the
+	// node that takes p's place, so no rake reads a link slot another
+	// rake of the same sub-round rewrites.
+	isLeft := pram.Grab[bool](s, n)
 	s.ForCostRange(n, 2, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			left[v], right[v], parent[v] = t.Left[v], t.Right[v], t.Parent[v]
+			if l := t.Left[v]; l >= 0 {
+				isLeft[l] = true
+			}
 			f[v] = idMaxPlus()
 			isLeaf[v] = t.IsLeaf(v)
 			if isLeaf[v] {
@@ -169,14 +177,7 @@ func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64,
 		cand := pram.Grab[bool](s, len(leaves))
 		s.ParallelFor(len(leaves), func(k int) {
 			x := leaves[k]
-			p := parent[x]
-			if num[x]%2 == 1 && p >= 0 {
-				if wantLeft {
-					cand[k] = left[p] == x
-				} else {
-					cand[k] = right[p] == x
-				}
-			}
+			cand[k] = num[x]%2 == 1 && parent[x] >= 0 && isLeft[x] == wantLeft
 		})
 		sel := PackIx[I](s, leaves, cand)
 		pram.Release(s, cand)
@@ -188,25 +189,27 @@ func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64,
 		s.ForCost(len(sel), 4, func(k int) {
 			x := sel[k]
 			p := parent[x]
+			xLeft := isLeft[x]
 			var sib I
-			if left[p] == x {
+			if xLeft {
 				sib = right[p]
 			} else {
 				sib = left[p]
 			}
-			recs[k] = rakeRec[I]{x: x, p: p, sib: sib, fx: f[x], fs: f[sib], xLeft: left[p] == x}
-			// Splice p out: sib takes p's place under p's parent.
+			recs[k] = rakeRec[I]{x: x, p: p, sib: sib, fx: f[x], fs: f[sib], xLeft: xLeft}
+			// Splice p out: sib takes p's place and side under p's parent.
 			g := parent[p]
 			if g >= 0 {
-				if left[g] == p {
+				if isLeft[p] {
 					left[g] = sib
 				} else {
 					right[g] = sib
 				}
 			}
 			parent[sib] = g
+			isLeft[sib] = isLeft[p]
 			a := f[x].Apply(val[x])
-			f[sib] = f[sib].then(partial(op[p], left[p] == x, a)).then(f[p])
+			f[sib] = f[sib].then(partial(op[p], xLeft, a)).then(f[p])
 		})
 		rounds = append(rounds, recs)
 		pram.Release(s, sel)
@@ -259,6 +262,7 @@ func EvalTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I], op []NodeOp, leafVal []int64,
 	pram.Release(s, f)
 	pram.Release(s, num)
 	pram.Release(s, isLeaf)
+	pram.Release(s, isLeft)
 	pram.Release(s, leaves)
 	return val
 }

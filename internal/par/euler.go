@@ -56,11 +56,8 @@ func GrabBinTreeIx[I Ix](s *pram.Sim, n int) BinTreeIx[I] {
 // ReleaseBinTree returns a forest's link slices to the arena.
 func ReleaseBinTree(s *pram.Sim, t BinTree) { ReleaseBinTreeIx(s, t) }
 
-// ReleaseBinTreeIx is the width-generic ReleaseBinTree. It also drops
-// the tree's cached Euler tour, if any, so a cached tour can never
-// outlive its tree.
+// ReleaseBinTreeIx is the width-generic ReleaseBinTree.
 func ReleaseBinTreeIx[I Ix](s *pram.Sim, t BinTreeIx[I]) {
-	DropCachedTourIx(s, t)
 	pram.Release(s, t.Left)
 	pram.Release(s, t.Right)
 	pram.Release(s, t.Parent)
@@ -259,15 +256,6 @@ func TourBinaryIx[I Ix](s *pram.Sim, t BinTreeIx[I], seed uint64) *TourIx[I] {
 // them filling every numbering, and a charge replay that keeps the
 // simulated counters bit-identical to the phase-structured build.
 func tourBuildSeq[I Ix](s *pram.Sim, t BinTreeIx[I], seed uint64, tr *TourIx[I]) {
-	next := tourBuildSeqKeep(s, t, seed, tr, true)
-	pram.Release(s, next)
-}
-
-// tourBuildSeqKeep is the fused build with the successor links handed
-// back to the caller (the tour cache retains them for patch-based
-// refreshes). With consumeNext set the charge replay scrambles the
-// links in place — one pass cheaper — so pass false when keeping them.
-func tourBuildSeqKeep[I Ix](s *pram.Sim, t BinTreeIx[I], seed uint64, tr *TourIx[I], consumeNext bool) []I {
 	n := t.Len()
 	nr := 0
 	for v := 0; v < n; v++ {
@@ -294,8 +282,8 @@ func tourBuildSeqKeep[I Ix](s *pram.Sim, t BinTreeIx[I], seed uint64, tr *TourIx
 	tr.InSeq = pram.GrabNoClear[I](s, n)
 	tr.Root = pram.GrabNoClear[I](s, n)
 	tourWalk(t, next, tr)
-	replayTourCharges(s, n, nr, next, seed, consumeNext)
-	return next
+	replayTourCharges(s, n, nr, next, seed)
+	pram.Release(s, next)
 }
 
 // fillTourLinks emits the successor pointers of the 3n tour items — the
@@ -364,10 +352,10 @@ func tourWalk[I Ix](t BinTreeIx[I], next []I, tr *TourIx[I]) {
 
 // replayTourCharges issues the exact simulated charges of a
 // phase-structured TourBinaryIx build of an n-node forest with nRoots
-// roots and the given item-successor list (scrambled in place when
-// consumeNext is set — see chargeRankOpt). It must mirror TourBinaryIx
-// (and the ListPositionsIx it calls) charge for charge.
-func replayTourCharges[I Ix](s *pram.Sim, n, nRoots int, next []I, seed uint64, consumeNext bool) {
+// roots and the given item-successor list, which it scrambles in place
+// (see chargeRankOpt). It must mirror TourBinaryIx (and the
+// ListPositionsIx it calls) charge for charge.
+func replayTourCharges[I Ix](s *pram.Sim, n, nRoots int, next []I, seed uint64) {
 	p := s.Procs()
 	charge := func(m, cost int) {
 		if m > 0 {
@@ -381,7 +369,7 @@ func replayTourCharges[I Ix](s *pram.Sim, n, nRoots int, next []I, seed uint64, 
 	charge(n, 1)            // IndexPack scatter
 	charge(n, 3)            // successor links
 	charge(nRoots, 1)       // root chaining
-	chargeRankOpt(s, next, seed, consumeNext)
+	chargeRankOpt(s, next, seed, true)
 	charge(L, 1)             // ListPositions position fill
 	charge(L, 1)             // seq scatter
 	for k := 0; k < 3; k++ { // pre/in/post rank flags + scans

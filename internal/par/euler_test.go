@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -262,4 +263,75 @@ func TestTourCostBounds(t *testing.T) {
 	if ratio := float64(w2) / float64(w1); ratio > 5.5 {
 		t.Errorf("work scaled %.2fx for 4x input; want ~4x", ratio)
 	}
+}
+
+// TestTourRebuildOnReusedSim rebuilds the tour of a forest on one Sim
+// while the forest changes between builds, as the pipeline does: child
+// flips (MakeLeftist) and subtree swaps (each Step 6 exchange round).
+// On both routes, every build must equal a build on a fresh Sim, in
+// values and in counters, whatever buffers the arena hands back.
+func TestTourRebuildOnReusedSim(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 44))
+	for _, mk := range []func(int) *pram.Sim{fusedSim, refSim} {
+		for _, n := range []int{5, 120, 900} {
+			forest := randomForest(rng, n)
+			procs := pram.ProcsFor(n)
+			s := mk(procs)
+			s.Scratch().SetDebug(true)
+			for round, seed := range []uint64{9, 9, 40, 12, 12} {
+				switch round {
+				case 2:
+					for v := 0; v < n; v++ {
+						if rng.IntN(2) == 0 {
+							forest.Left[v], forest.Right[v] = forest.Right[v], forest.Left[v]
+						}
+					}
+				case 3, 4:
+					for sw := 0; sw < 5; sw++ {
+						x, y := rng.IntN(n), rng.IntN(n)
+						if x != y && forest.IsLeaf(x) && forest.IsLeaf(y) &&
+							forest.Parent[x] >= 0 && forest.Parent[y] >= 0 {
+							swapLeafPositions(forest, x, y)
+						}
+					}
+				}
+				before := s.Stats()
+				got := TourBinary(s, forest, seed)
+				ref := mk(procs)
+				want := TourBinary(ref, forest, seed)
+				what := fmt.Sprintf("n=%d round %d", n, round)
+				for _, c := range [][2][]int{{got.Pos, want.Pos}, {got.Seq, want.Seq},
+					{got.Pre, want.Pre}, {got.In, want.In}, {got.Post, want.Post},
+					{got.InSeq, want.InSeq}, {got.Root, want.Root}, {got.Roots, want.Roots}} {
+					intsEq(t, what, c[0], c[1])
+				}
+				after := s.Stats()
+				delta := pram.Stats{Time: after.Time - before.Time,
+					Work: after.Work - before.Work, Phases: after.Phases - before.Phases}
+				statsEq(t, what, n, procs, delta, ref.Stats())
+				got.Release(s)
+				want.Release(ref)
+				ref.Close()
+			}
+			s.Close()
+		}
+	}
+}
+
+// swapLeafPositions exchanges the tree positions of the leaves x and y,
+// as Step 6 exchanges an insert with a dummy.
+func swapLeafPositions(t BinTree, x, y int) {
+	px, py := t.Parent[x], t.Parent[y]
+	xLeft, yLeft := t.Left[px] == x, t.Left[py] == y
+	if xLeft {
+		t.Left[px] = y
+	} else {
+		t.Right[px] = y
+	}
+	if yLeft {
+		t.Left[py] = x
+	} else {
+		t.Right[py] = x
+	}
+	t.Parent[x], t.Parent[y] = py, px
 }

@@ -119,7 +119,7 @@ func calibrate() int {
 
 	// Round-trip cost of waking the pool for a trivial phase.
 	helpers := min(3, runtime.GOMAXPROCS(0)-1)
-	pool := newWorkerPool(helpers, nil)
+	pool := newWorkerPool(helpers)
 	defer pool.stop()
 	noop := func(lo, hi int) {}
 	pool.dispatchRange(1<<20, noop, 1) // warm the workers

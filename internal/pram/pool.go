@@ -1,7 +1,6 @@
 package pram
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -30,10 +29,9 @@ import (
 // receiving their wake token, and the driver mutates it again only after
 // the active counter has hit zero.
 type workerPool struct {
-	wake   []chan bool // cap-1 per worker; true = run current phase, false = exit
-	cpuset []int       // CPUs each worker pins its thread to (nil = unpinned)
-	wg     sync.WaitGroup
-	once   sync.Once
+	wake []chan bool // cap-1 per worker; true = run current phase, false = exit
+	wg   sync.WaitGroup
+	once sync.Once
 
 	// Phase descriptor: written by the driver before the wake sends,
 	// read by workers after the wake receive. Exactly one of body/rbody
@@ -48,11 +46,10 @@ type workerPool struct {
 	done   chan bool // single completion token per phase
 }
 
-func newWorkerPool(workers int, cpuset []int) *workerPool {
+func newWorkerPool(workers int) *workerPool {
 	p := &workerPool{
-		wake:   make([]chan bool, workers),
-		cpuset: cpuset,
-		done:   make(chan bool, 1),
+		wake: make([]chan bool, workers),
+		done: make(chan bool, 1),
 	}
 	p.wg.Add(workers)
 	for i := range p.wake {
@@ -64,14 +61,6 @@ func newWorkerPool(workers int, cpuset []int) *workerPool {
 
 func (p *workerPool) worker(k int) {
 	defer p.wg.Done()
-	if len(p.cpuset) > 0 {
-		// Pin this worker: the goroutine stays locked for its whole life,
-		// and a locked goroutine's thread is destroyed when it exits, so
-		// the restricted mask can never leak back into the scheduler's
-		// thread pool.
-		runtime.LockOSThread()
-		setAffinity(p.cpuset)
-	}
 	for <-p.wake[k] {
 		p.work()
 		if p.active.Add(-1) == 0 {

@@ -82,7 +82,6 @@ type Sim struct {
 	phases  int64
 
 	pool    *workerPool
-	cpuset  []int // CPUs the pool's workers are pinned to (nil = unpinned)
 	cleanup runtime.Cleanup
 	closed  bool
 	scratch Scratch
@@ -120,22 +119,6 @@ func WithGrain(g int) Option {
 			if s.cutover == 0 {
 				s.cutover = g
 			}
-		}
-	}
-}
-
-// WithCPUSet pins the Sim's pool workers to the given CPUs (Linux
-// sched_setaffinity on OS threads the workers lock themselves to; a
-// no-op on other platforms — see AffinitySupported). Shards of a
-// serving pool pass disjoint sets so each shard's workers share L2/L3
-// instead of bouncing cache lines across the socket. The driving
-// goroutine itself is the caller's and is never pinned; ids this
-// machine does not have are ignored, and an effectively empty set
-// leaves the workers unpinned.
-func WithCPUSet(cpus []int) Option {
-	return func(s *Sim) {
-		if len(cpus) > 0 {
-			s.cpuset = append([]int(nil), cpus...)
 		}
 	}
 }
@@ -199,7 +182,7 @@ func (s *Sim) Close() {
 // ensurePool lazily creates the persistent worker pool.
 func (s *Sim) ensurePool() *workerPool {
 	if s.pool == nil {
-		s.pool = newWorkerPool(s.workers-1, s.cpuset) // the driver is a participant
+		s.pool = newWorkerPool(s.workers - 1) // the driver is a participant
 		// Stop the workers if the Sim is dropped without Close. The pool
 		// does not reference the Sim (phase bodies are cleared after each
 		// superstep), so the cleanup can run.
@@ -285,18 +268,6 @@ func (s *Sim) Charge(time, work int64) {
 	s.time += time
 	s.work += work
 	s.phases++
-}
-
-// AddCost adds a previously recorded multi-phase cost (time, work and
-// phase count) to the counters without executing anything. It is the
-// replay primitive behind result caches that skip recomputation but must
-// keep the simulated cost model oblivious to the reuse: the cache owner
-// records the Stats delta of the original computation and replays it on
-// every hit.
-func (s *Sim) AddCost(time, work, phases int64) {
-	s.time += time
-	s.work += work
-	s.phases += phases
 }
 
 // ParallelFor executes f(i) for every i in [0, n) and charges one

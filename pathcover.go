@@ -620,7 +620,6 @@ type config struct {
 	workers   int
 	seed      uint64
 	idxWidth  IndexWidth
-	cpuset    []int
 
 	// Routing and robustness (see backend.go).
 	backend   Backend
@@ -697,8 +696,3 @@ func WithWideIndices() Option { return WithIndexWidth(Width64) }
 // default WidthAuto dispatch routes an n-vertex request to — the
 // serving tier of the request, as surfaced in pcbench routing counts.
 func RouteWidth(n int) string { return core.AutoWidth(n).String() }
-
-// withCPUSet pins the Solver's pram workers to the given CPUs (Linux;
-// no-op elsewhere). Unexported: reached through Pool's
-// WithShardAffinity, which derives a disjoint set per shard.
-func withCPUSet(cpus []int) Option { return func(c *config) { c.cpuset = cpus } }

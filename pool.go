@@ -4,13 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"pathcover/internal/core"
 	"pathcover/internal/covercache"
 	"pathcover/internal/pram"
 )
@@ -51,8 +47,8 @@ func (e *PanicError) Unwrap() error { return ErrSolverPanic }
 // host), a least-loaded dispatcher, bounded admission, and per-shard
 // statistics. It is the serving layer of this package — one Pool per
 // process serves concurrent path-cover queries from any number of
-// goroutines, amortising every solver's worker pool, scratch arena and
-// Euler-tour cache across the query stream.
+// goroutines, amortising every solver's worker pool and scratch arena
+// across the query stream.
 //
 // Unlike Solver, every Pool method is safe for concurrent use and
 // returns results the caller owns (copied out of the shard's arena
@@ -120,7 +116,6 @@ type poolConfig struct {
 	shards     int
 	queue      int   // 0 = default, negative = unbounded
 	cacheBytes int64 // 0 = uncached
-	affinity   bool
 	solverOpts []Option
 }
 
@@ -155,19 +150,6 @@ func WithShardOptions(opts ...Option) PoolOption {
 	return func(c *poolConfig) { c.solverOpts = opts }
 }
 
-// WithShardAffinity pins each shard's pram workers to a disjoint set
-// of CPUs (shard i gets CPUs i*w .. i*w+w-1 of the host, wrapping past
-// NumCPU), so a shard's workers share L2/L3 instead of bouncing cache
-// lines across the socket between requests. Linux-only: elsewhere —
-// and on hosts too small for helper goroutines (one worker per shard
-// means the driving goroutine does all the work, and that goroutine is
-// the caller's) — it is a no-op. The pinning rides in the shard's
-// construction options, so a Solver rebuilt after a panic is pinned
-// the same way.
-func WithShardAffinity() PoolOption {
-	return func(c *poolConfig) { c.affinity = true }
-}
-
 // NewPool builds the shard fleet: GOMAXPROCS shards unless WithShards
 // says otherwise. Each shard's Solver gets pram-budgeted workers
 // (GOMAXPROCS/shards, at least 1), so the whole pool respects the
@@ -194,16 +176,8 @@ func NewPool(opts ...PoolOption) *Pool {
 	p := &Pool{depth: depth}
 	for i := 0; i < m; i++ {
 		// The pinned WithWorkers comes first so the caller's shard
-		// options can override it; the affinity CPU set rides in the
-		// options, so a Solver rebuilt after a panic is pinned the same.
+		// options can override it.
 		sopts := append([]Option{WithWorkers(w)}, cfg.solverOpts...)
-		if cfg.affinity && pram.AffinitySupported() {
-			cpus := make([]int, w)
-			for j := range cpus {
-				cpus[j] = (i*w + j) % runtime.NumCPU()
-			}
-			sopts = append(sopts, withCPUSet(cpus))
-		}
 		sv := NewSolver(sopts...)
 		p.shards = append(p.shards, &poolShard{
 			id:      i,
@@ -513,13 +487,11 @@ func (p *Pool) hamiltonian(ctx context.Context, g *Graph, opts []Option,
 }
 
 // CoverBatch computes minimum path covers for every graph of the batch,
-// returned in input order. The batch is regrouped before execution:
-// requests of the same index width and similar size — and duplicate
-// graphs in particular — land adjacently on the same shard, keeping
-// each shard's request stream homogeneous for its scratch arena's size
-// classes, then the groups run on the shards concurrently. On error
-// (including context cancellation and a saturated or closed pool) the
-// whole batch fails and the partial results are discarded.
+// returned in input order. The batch is split in input order into at
+// most one contiguous segment per shard, balanced by vertex count, and
+// the segments run on the shards concurrently. On error (including
+// context cancellation and a saturated or closed pool) the whole batch
+// fails and the partial results are discarded.
 func (p *Pool) CoverBatch(ctx context.Context, gs []*Graph, opts ...Option) ([]*Cover, error) {
 	if len(gs) == 0 {
 		return nil, nil
@@ -591,37 +563,9 @@ func (p *Pool) CoverBatch(ctx context.Context, gs []*Graph, opts ...Option) ([]*
 	return out, nil
 }
 
-// batchSegments orders the batch for locality and splits it into at
-// most one contiguous segment per shard, balanced by total vertices.
-// The order key is (index width, size bucket, first appearance of the
-// graph value): same-width and similar-n requests group together, and
-// repeated queries of the identical graph become adjacent, so a shard
-// replays the same arena size classes call after call instead of
-// bouncing between widths and sizes.
+// batchSegments splits the batch, in input order, into at most one
+// contiguous segment per shard, balanced by total vertices.
 func (p *Pool) batchSegments(gs []*Graph) [][]int {
-	first := make(map[*Graph]int, len(gs))
-	for i, g := range gs {
-		if _, ok := first[g]; !ok {
-			first[g] = i
-		}
-	}
-	order := make([]int, len(gs))
-	for i := range order {
-		order[i] = i
-	}
-	key := func(i int) [3]int {
-		n := gs[i].N()
-		return [3]int{int(core.AutoWidth(n)), bits.Len(uint(n)), first[gs[i]]}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := key(order[a]), key(order[b])
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return ka[i] < kb[i]
-			}
-		}
-		return false
-	})
 	k := len(p.shards)
 	total := 0
 	for _, g := range gs {
@@ -631,9 +575,9 @@ func (p *Pool) batchSegments(gs []*Graph) [][]int {
 	segs := make([][]int, 0, k)
 	var cur []int
 	acc := 0
-	for _, idx := range order {
+	for idx, g := range gs {
 		cur = append(cur, idx)
-		acc += gs[idx].N() + 1
+		acc += g.N() + 1
 		if acc >= target && len(segs) < k-1 {
 			segs = append(segs, cur)
 			cur, acc = nil, 0

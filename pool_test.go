@@ -88,7 +88,7 @@ func TestPoolCoverBatch(t *testing.T) {
 	shared := Random(42, 700, Caterpillar)
 	for i := 0; i < 30; i++ {
 		if i%3 == 0 {
-			gs = append(gs, shared) // duplicates must group and still map back
+			gs = append(gs, shared) // duplicates must map back to their slots
 		} else {
 			gs = append(gs, Random(uint64(i), 50+i*37, Shape(i%3)))
 		}
@@ -323,7 +323,7 @@ func TestPoolCoverAllocsSteady(t *testing.T) {
 		p := NewPool(WithShards(1))
 		g := Random(9, n, Mixed)
 		ctx := context.Background()
-		for j := 0; j < 2; j++ { // warm the arena and tour cache
+		for j := 0; j < 2; j++ { // warm the arena
 			if _, err := p.MinimumPathCover(ctx, g); err != nil {
 				t.Fatal(err)
 			}

@@ -90,11 +90,7 @@ func (sv *Solver) ensureSim() *pram.Sim {
 		if w <= 0 {
 			w = runtime.GOMAXPROCS(0)
 		}
-		opts := []pram.Option{pram.WithWorkers(w)}
-		if len(sv.cfg.cpuset) > 0 {
-			opts = append(opts, pram.WithCPUSet(sv.cfg.cpuset))
-		}
-		sv.sim = pram.New(1, opts...)
+		sv.sim = pram.New(1, pram.WithWorkers(w))
 	}
 	return sv.sim
 }
