@@ -265,35 +265,28 @@ func TestTourCostBounds(t *testing.T) {
 	}
 }
 
-// TestTourRebuildOnReusedSim rebuilds the tour of a forest on one Sim
-// while the forest changes between builds, as the pipeline does: child
-// flips (MakeLeftist) and subtree swaps (each Step 6 exchange round).
-// On both routes, every build must equal a build on a fresh Sim, in
-// values and in counters, whatever buffers the arena hands back.
-func TestTourRebuildOnReusedSim(t *testing.T) {
-	rng := rand.New(rand.NewPCG(4, 44))
+// The tour-reuse suite: a tour built on a Sim that has already built
+// and released tours, with the forest changed between builds as the
+// pipeline changes it, must equal a build on a fresh Sim, in values and
+// in counters, whatever buffers the arena hands back. The tests keep
+// the names of the per-Sim tour cache whose reuse routes they covered;
+// each route is now a fresh build.
+
+// rebuildOnReusedSim builds the tour of a random forest once per seed
+// on one debug-arena Sim, on both routes, calling mutate (if any) on
+// the forest before each build, and checks every build against a build
+// on a fresh Sim.
+func rebuildOnReusedSim(t *testing.T, rng *rand.Rand, seeds []uint64, mutate func(round int, forest BinTree)) {
+	t.Helper()
 	for _, mk := range []func(int) *pram.Sim{fusedSim, refSim} {
 		for _, n := range []int{5, 120, 900} {
 			forest := randomForest(rng, n)
 			procs := pram.ProcsFor(n)
 			s := mk(procs)
 			s.Scratch().SetDebug(true)
-			for round, seed := range []uint64{9, 9, 40, 12, 12} {
-				switch round {
-				case 2:
-					for v := 0; v < n; v++ {
-						if rng.IntN(2) == 0 {
-							forest.Left[v], forest.Right[v] = forest.Right[v], forest.Left[v]
-						}
-					}
-				case 3, 4:
-					for sw := 0; sw < 5; sw++ {
-						x, y := rng.IntN(n), rng.IntN(n)
-						if x != y && forest.IsLeaf(x) && forest.IsLeaf(y) &&
-							forest.Parent[x] >= 0 && forest.Parent[y] >= 0 {
-							swapLeafPositions(forest, x, y)
-						}
-					}
+			for round, seed := range seeds {
+				if mutate != nil {
+					mutate(round, forest)
 				}
 				before := s.Stats()
 				got := TourBinary(s, forest, seed)
@@ -316,6 +309,47 @@ func TestTourRebuildOnReusedSim(t *testing.T) {
 			s.Close()
 		}
 	}
+}
+
+// TestTourCacheReuse rebuilds the tour of an unchanged forest under
+// repeated and changing seeds.
+func TestTourCacheReuse(t *testing.T) {
+	rebuildOnReusedSim(t, rand.New(rand.NewPCG(77, 3)), []uint64{9, 9, 40, 9, 40, 40}, nil)
+}
+
+// TestTourCachePatchSwap swaps the positions of leaf pairs before each
+// rebuild, as each Step 6 exchange round does.
+func TestTourCachePatchSwap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 44))
+	rebuildOnReusedSim(t, rng, []uint64{5, 12, 12, 30}, func(round int, forest BinTree) {
+		if round == 0 {
+			return
+		}
+		n := len(forest.Parent)
+		for sw := 0; sw < 5; sw++ {
+			x, y := rng.IntN(n), rng.IntN(n)
+			if x != y && forest.IsLeaf(x) && forest.IsLeaf(y) &&
+				forest.Parent[x] >= 0 && forest.Parent[y] >= 0 {
+				swapLeafPositions(forest, x, y)
+			}
+		}
+	})
+}
+
+// TestTourCacheTouch flips the children of random nodes before each
+// rebuild, as MakeLeftist does.
+func TestTourCacheTouch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(6, 66))
+	rebuildOnReusedSim(t, rng, []uint64{1, 2, 2}, func(round int, forest BinTree) {
+		if round == 0 {
+			return
+		}
+		for v := range forest.Left {
+			if rng.IntN(2) == 0 {
+				forest.Left[v], forest.Right[v] = forest.Right[v], forest.Left[v]
+			}
+		}
+	})
 }
 
 // swapLeafPositions exchanges the tree positions of the leaves x and y,
