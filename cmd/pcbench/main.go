@@ -1,6 +1,8 @@
-// Command pcbench regenerates the experiment tables of EXPERIMENTS.md:
+// Command pcbench regenerates the paper's experiment tables E1–E9:
 // every theorem/lemma of the paper mapped to a measurable claim on the
-// PRAM cost simulator plus wall-clock comparisons.
+// PRAM cost simulator plus wall-clock comparisons. It also diffs and
+// gates two -json reports on their simulated counters, and drives a
+// running server with verified HTTP load (-attack).
 //
 // Usage:
 //
@@ -11,19 +13,12 @@
 //	pcbench -compare old.json new.json
 //	                               # diff two -json reports: every numeric
 //	                               # column becomes old -> new (ratio)
-//	pcbench -compare -gate 25 old.json new.json
+//	pcbench -compare -gate 1 old.json new.json
 //	                               # CI regression gate: exit 1 when any
-//	                               # simtime/simwork cell drifts > 25%
-//	pcbench -serve -json BENCH.json
-//	                               # serving-layer benchmark: Pool vs a
-//	                               # single shared Solver (see serve.go)
-//	pcbench -serve -sizeclass loguniform
-//	                               # historical flat size sweep instead of
-//	                               # the small-skewed serving class
+//	                               # simtime/simwork cell drifts > 1%
 //	pcbench -attack http://host:8080
-//	                               # HTTP load against a pathcoverd
-//	pcbench -serve -cpuprofile cmd/pcbench/default.pgo
-//	                               # refresh the committed PGO profile
+//	                               # verified HTTP load against one
+//	                               # pathcoverd or gateway (see attack.go)
 package main
 
 import (
@@ -36,7 +31,6 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -51,14 +45,13 @@ import (
 )
 
 var (
-	exp        = flag.String("exp", "all", "experiment to run: e1..e9 | all")
-	maxLog     = flag.Int("max", 18, "largest input size as a power of two")
-	seed       = flag.Uint64("seed", 1, "random seed")
-	jsonPath   = flag.String("json", "", "write machine-readable results to this file")
-	compare    = flag.Bool("compare", false, "compare two -json reports (pcbench -compare old.json new.json) instead of running experiments")
-	gate       = flag.Float64("gate", 0, "with -compare: fail (exit 1) when any simulated simtime/simwork cell drifts by more than this percentage")
-	walltrace  = flag.Bool("walltrace", false, "also emit the per-step wall-clock trace table (and include it in -json, so -compare diffs per-step deltas)")
-	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format; feeds default.pgo for PGO builds)")
+	exp       = flag.String("exp", "all", "experiment to run: e1..e9 | all")
+	maxLog    = flag.Int("max", 18, "largest input size as a power of two")
+	seed      = flag.Uint64("seed", 1, "random seed")
+	jsonPath  = flag.String("json", "", "write machine-readable results to this file")
+	compare   = flag.Bool("compare", false, "compare two -json reports (pcbench -compare old.json new.json) instead of running experiments")
+	gate      = flag.Float64("gate", 0, "with -compare: fail (exit 1) when any simulated simtime/simwork cell drifts by more than this percentage")
+	walltrace = flag.Bool("walltrace", false, "also emit the per-step wall-clock trace table (and include it in -json, so -compare diffs per-step deltas)")
 )
 
 // jsonExperiment mirrors one rendered table; the -json dump gives future
@@ -119,24 +112,6 @@ func commitHash() string {
 
 func main() {
 	flag.Parse()
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pcbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "pcbench: %v\n", err)
-			}
-			fmt.Fprintf(os.Stderr, "pcbench: wrote CPU profile %s\n", *cpuprofile)
-		}()
-	}
 	if *compare {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "pcbench: -compare needs exactly two report files: pcbench -compare old.json new.json")
@@ -150,13 +125,9 @@ func main() {
 	}
 	report.MaxLog = *maxLog
 	report.Seed = *seed
-	switch {
-	case *attackURL != "":
+	if *attackURL != "" {
 		runAttack(*attackURL)
-		runAttackRamp()
-	case *serveMode:
-		runServe()
-	default:
+	} else {
 		run := func(name string, f func()) {
 			if *exp == "all" || *exp == name {
 				f()

@@ -348,6 +348,55 @@ func TestShedPaths(t *testing.T) {
 	}
 }
 
+// TestShedLearnsFromSolves runs the estimator's whole loop through the
+// HTTP surface, where TestShedPaths seeds the estimate by hand: with no
+// estimate the first cover is admitted and its solve is observed, and
+// with a one-nanosecond budget that learned cost alone sheds the next
+// cotree cover (503) and degrades the next edge-list cover.
+func TestShedLearnsFromSolves(t *testing.T) {
+	s := New(Config{Shards: 1, Queue: -1, ShedAfter: time.Nanosecond, LogOutput: io.Discard})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	if got := s.estimator.nsPerVertex(); got != 0 {
+		t.Fatalf("fresh estimator reads %v ns/vertex, want 0", got)
+	}
+	if code, payload, _ := postBody(t, srv.URL, "/cover", cotreeSpec(1, 64)); code != http.StatusOK {
+		t.Fatalf("first cover (no estimate yet): HTTP %d: %s", code, payload)
+	}
+	if got := s.estimator.nsPerVertex(); got <= 0 {
+		t.Fatalf("estimate after one solve = %v ns/vertex, want > 0", got)
+	}
+
+	code, payload, hdr := postBody(t, srv.URL, "/cover", cotreeSpec(2, 64))
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("cotree cover over the learned budget: HTTP %d, want 503: %s", code, payload)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("shed 503 without Retry-After")
+	}
+
+	edges := make([][2]int, 0, 63)
+	for v := 1; v < 64; v++ {
+		edges = append(edges, [2]int{v - 1, v})
+	}
+	code, payload, _ = postBody(t, srv.URL, "/cover", map[string]any{"n": 64, "edges": edges})
+	if code != http.StatusOK {
+		t.Fatalf("edge-list cover over the learned budget: HTTP %d, want 200: %s", code, payload)
+	}
+	var cov struct {
+		Exact    bool `json:"exact"`
+		Degraded bool `json:"degraded"`
+	}
+	if err := json.Unmarshal(payload, &cov); err != nil {
+		t.Fatalf("degraded response: %v", err)
+	}
+	if !cov.Degraded || cov.Exact {
+		t.Fatalf("edge-list cover: degraded=%v exact=%v, want true/false (%s)", cov.Degraded, cov.Exact, payload)
+	}
+}
+
 // TestBatchShareShed fills the batch tier's admission share with
 // requests parked on a slow graph and asserts the next batch is shed
 // with reason batch_share while interactive /cover traffic still

@@ -2,9 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
-	"sort"
 
 	"pathcover/internal/cotree"
 )
@@ -57,15 +55,6 @@ type Request struct {
 	N     int
 	Shape Shape
 	Kind  Kind
-	// Relabel, when non-zero, rewrites the materialised cotree into a
-	// relabelled-isomorphic presentation (permuted vertex ids, shuffled
-	// child order — cotree.Permute with this seed): the same graph, a
-	// different wire form. Distinct Relabel values are distinct catalog
-	// entries to a registry keyed on Request values, but one graph to
-	// anything keyed on canonical identity. Zero (the zero value, so
-	// pre-existing literals are unchanged) keeps the original
-	// presentation. Cograph requests only; the edge-list kinds ignore it.
-	Relabel uint64
 }
 
 // Tree materialises the request's cotree (KindCograph only; the other
@@ -74,11 +63,7 @@ func (r Request) Tree() *cotree.Tree {
 	if r.Kind != KindCograph {
 		panic("workload: Tree called on a non-cograph request")
 	}
-	t := Random(r.Seed, r.N, r.Shape)
-	if r.Relabel != 0 {
-		t = cotree.Permute(t, r.Relabel)
-	}
-	return t
+	return Random(r.Seed, r.N, r.Shape)
 }
 
 // Edges materialises the request's edge list (the non-cograph kinds;
@@ -154,46 +139,6 @@ func NearCographEdges(seed uint64, n int) [][2]int {
 	return edges
 }
 
-// SizeClass selects the size distribution of a serving catalog.
-type SizeClass int
-
-const (
-	// SizeLogUniform draws bucket exponents uniformly from [minLg,
-	// maxLg] — every size decade equally likely (the historical
-	// behaviour and the zero value).
-	SizeLogUniform SizeClass = iota
-	// SizeServing skews the catalog toward the small graphs real
-	// serving traffic is dominated by: ~70% of entries land in
-	// [2^minLg, 2^12) — mostly the int16 kernel tier, deliberately
-	// straddling its n=3270 bound — ~25% in the mid band up to 2^16
-	// (the int32 tier), and the rest anywhere in [minLg, maxLg].
-	// When maxLg is small enough that the bands collapse, it degrades
-	// toward SizeLogUniform.
-	SizeServing
-)
-
-// String renders the size-class name as accepted by -sizeclass.
-func (c SizeClass) String() string {
-	switch c {
-	case SizeLogUniform:
-		return "loguniform"
-	case SizeServing:
-		return "serving"
-	}
-	return fmt.Sprintf("SizeClass(%d)", int(c))
-}
-
-// ParseSizeClass maps the flag spellings onto a SizeClass.
-func ParseSizeClass(s string) (SizeClass, error) {
-	switch s {
-	case "loguniform", "log-uniform", "uniform":
-		return SizeLogUniform, nil
-	case "serving", "small":
-		return SizeServing, nil
-	}
-	return 0, fmt.Errorf("workload: unknown size class %q (want loguniform or serving)", s)
-}
-
 // Requests returns a deterministic serving workload of count queries.
 // The catalog holds `distinct` graphs whose sizes are log-uniform in
 // [2^minLg, 2^(maxLg+1)) — a bucket exponent is drawn uniformly from
@@ -204,53 +149,13 @@ func ParseSizeClass(s string) (SizeClass, error) {
 // (and should) materialise each distinct request once and reuse it —
 // exactly what a serving layer's graph registry does.
 func Requests(seed uint64, count, minLg, maxLg, distinct int) []Request {
-	return RequestsClass(seed, count, minLg, maxLg, distinct, SizeLogUniform)
-}
-
-// RequestsClass is Requests with an explicit catalog size class.
-func RequestsClass(seed uint64, count, minLg, maxLg, distinct int, class SizeClass) []Request {
+	minLg = max(minLg, 1)
+	maxLg = max(maxLg, minLg)
+	distinct = max(distinct, 1)
 	rng := rand.New(rand.NewPCG(seed, 0x5eed5))
-	catalog := catalogOf(rng, seed, minLg, maxLg, distinct, class)
-	out := make([]Request, count)
-	for i := range out {
-		out[i] = catalog[rng.IntN(len(catalog))]
-	}
-	return out
-}
-
-// drawLg picks a catalog entry's bucket exponent under the size class.
-func drawLg(rng *rand.Rand, minLg, maxLg int, class SizeClass) int {
-	if class == SizeServing && maxLg > minLg {
-		smallMax := min(11, maxLg) // 2^11 buckets reach 4095: the int16 tier plus its boundary
-		midMax := min(15, maxLg)   // up to 64K: the int32 serving band
-		switch d := rng.IntN(100); {
-		case d < 70:
-			return minLg + rng.IntN(smallMax-minLg+1)
-		case d < 95 && midMax > smallMax:
-			return smallMax + 1 + rng.IntN(midMax-smallMax)
-		}
-	}
-	return minLg + rng.IntN(maxLg-minLg+1)
-}
-
-// catalogOf builds the distinct entries of a serving catalog: sizes
-// drawn per the size class (log-uniform by default), shapes cycling
-// through the silhouettes. rng must be freshly seeded — Requests and
-// ZipfRequests share this so their catalogs (though not their streams)
-// coincide for equal parameters.
-func catalogOf(rng *rand.Rand, seed uint64, minLg, maxLg, distinct int, class SizeClass) []Request {
-	if minLg < 1 {
-		minLg = 1
-	}
-	if maxLg < minLg {
-		maxLg = minLg
-	}
-	if distinct < 1 {
-		distinct = 1
-	}
 	catalog := make([]Request, distinct)
 	for i := range catalog {
-		lg := drawLg(rng, minLg, maxLg, class)
+		lg := minLg + rng.IntN(maxLg-minLg+1)
 		n := 1 << lg
 		if lg > 1 {
 			n += rng.IntN(n) // power-of-two bucket, uniform within it
@@ -261,75 +166,11 @@ func catalogOf(rng *rand.Rand, seed uint64, minLg, maxLg, distinct int, class Si
 			Shape: Shape(i % 3),
 		}
 	}
-	return catalog
-}
-
-// zipfVariants is how many presentations each base graph of a
-// ZipfRequests catalog appears under: the original plus two
-// relabelled-isomorphic twins.
-const zipfVariants = 3
-
-// ZipfRequests returns a repeat-heavy serving workload: a catalog of
-// `distinct` base cographs (sized and shaped exactly as in Requests),
-// each appearing under zipfVariants presentations — the original and
-// relabelled-isomorphic twins (cotree.Permute: same graph, permuted
-// vertex ids and shuffled child order). The stream draws base graphs
-// Zipf-distributed by catalog rank — P(rank k) ∝ 1/(k+1)^s, so larger
-// s concentrates the stream onto fewer graphs — and picks the
-// presentation uniformly. This is the canonical-identity cache's
-// adversarial diet: a Request-keyed registry sees up to
-// distinct×zipfVariants distinct entries, while a canonical-form cache
-// sees only `distinct` graphs, so the achievable hit rate cliff
-// between the two is built into the stream. s <= 0 degrades to the
-// uniform draw of Requests (but keeps the relabelled twins).
-func ZipfRequests(seed uint64, count, minLg, maxLg, distinct int, s float64) []Request {
-	return ZipfRequestsClass(seed, count, minLg, maxLg, distinct, s, SizeLogUniform)
-}
-
-// ZipfRequestsClass is ZipfRequests with an explicit catalog size class.
-func ZipfRequestsClass(seed uint64, count, minLg, maxLg, distinct int, s float64, class SizeClass) []Request {
-	if distinct < 1 {
-		distinct = 1
-	}
-	catalog := catalogOf(rand.New(rand.NewPCG(seed, 0x5eed5)), seed, minLg, maxLg, distinct, class)
-	// Inverse-CDF table over ranks: cum[k] = sum_{j<=k} (j+1)^-s.
-	cum := make([]float64, distinct)
-	total := 0.0
-	for k := 0; k < distinct; k++ {
-		w := 1.0
-		if s > 0 {
-			w = 1 / powf(float64(k+1), s)
-		}
-		total += w
-		cum[k] = total
-	}
-	rng := rand.New(rand.NewPCG(seed, 0x21bf))
 	out := make([]Request, count)
 	for i := range out {
-		u := rng.Float64() * total
-		k := sort.SearchFloat64s(cum, u)
-		if k >= distinct {
-			k = distinct - 1
-		}
-		r := catalog[k]
-		if v := rng.IntN(zipfVariants); v > 0 {
-			// A deterministic per-(entry, variant) relabel seed: the same
-			// twin re-drawn later is the identical Request value, so the
-			// stream has true duplicates of every presentation.
-			r.Relabel = r.Seed ^ (uint64(v) * 0xd1342543de82ef95)
-		}
-		out[i] = r
+		out[i] = catalog[rng.IntN(len(catalog))]
 	}
 	return out
-}
-
-// powf is math.Pow with the common fast cases inlined (s is typically
-// 1 in serving benchmarks).
-func powf(x, y float64) float64 {
-	if y == 1 {
-		return x
-	}
-	return math.Pow(x, y)
 }
 
 // MixedRequests returns a serving workload like Requests whose catalog
@@ -339,13 +180,7 @@ func powf(x, y float64) float64 {
 // the tree and approximation fallbacks alongside the exact pipeline.
 // Every kind spans the full size range.
 func MixedRequests(seed uint64, count, minLg, maxLg, distinct int) []Request {
-	return MixedRequestsClass(seed, count, minLg, maxLg, distinct, SizeLogUniform)
-}
-
-// MixedRequestsClass is MixedRequests with an explicit catalog size
-// class.
-func MixedRequestsClass(seed uint64, count, minLg, maxLg, distinct int, class SizeClass) []Request {
-	reqs := RequestsClass(seed, count, minLg, maxLg, distinct, class)
+	reqs := Requests(seed, count, minLg, maxLg, distinct)
 	// Rewrite a deterministic subset of the catalog in place: every
 	// distinct Request value maps to one rewritten value, so the
 	// stream's catalog structure (and the registry pattern) survives.

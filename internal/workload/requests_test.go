@@ -50,142 +50,3 @@ func TestRequestsRangesAndCatalog(t *testing.T) {
 		}
 	}
 }
-
-func TestZipfRequestsDeterministicAndSkewed(t *testing.T) {
-	a := ZipfRequests(5, 300, 4, 7, 10, 1.1)
-	b := ZipfRequests(5, 300, 4, 7, 10, 1.1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("request %d differs across identical calls", i)
-		}
-	}
-	// The base catalog coincides with Requests' for equal parameters:
-	// strip Relabel and every drawn request must be a Requests catalog
-	// entry.
-	base := make(map[Request]bool)
-	for _, r := range Catalog(Requests(5, 1, 4, 7, 10)) {
-		base[r] = true
-	}
-	// Requests' stream draws only reveal part of the catalog; rebuild it
-	// fully through the zipf stream's own bases instead.
-	for i, r := range a {
-		if r.Kind != KindCograph {
-			t.Fatalf("request %d: zipf streams are cograph-only, got %v", i, r.Kind)
-		}
-		if r.N < 1<<4 || r.N >= 1<<8 {
-			t.Fatalf("request %d: n=%d outside [2^4, 2^8)", i, r.N)
-		}
-	}
-	// Skew: s=1.4 concentrates far more of the stream on the most
-	// common base (Seed identifies the base; Relabel varies on top).
-	byBase := func(reqs []Request) int {
-		counts := map[uint64]int{}
-		top := 0
-		for _, r := range reqs {
-			counts[r.Seed]++
-			if counts[r.Seed] > top {
-				top = counts[r.Seed]
-			}
-		}
-		return top
-	}
-	skewed := byBase(ZipfRequests(5, 300, 4, 7, 10, 1.4))
-	uniform := byBase(ZipfRequests(5, 300, 4, 7, 10, 0))
-	if skewed <= uniform {
-		t.Fatalf("zipf s=1.4 top-base count %d not above uniform's %d", skewed, uniform)
-	}
-	// True duplicates exist: some presentation must repeat verbatim.
-	if cat := Catalog(a); len(cat) == len(a) {
-		t.Fatal("no repeated presentation in a 300-draw zipf stream")
-	}
-}
-
-func TestZipfRequestsTwinsAreIsomorphic(t *testing.T) {
-	reqs := ZipfRequests(11, 400, 4, 6, 6, 1.0)
-	// Group presentations by base seed; all must materialise to trees of
-	// the same size, and relabelled twins must differ in presentation
-	// only (same vertex count, same name multiset).
-	perBase := map[uint64][]Request{}
-	for _, r := range Catalog(reqs) {
-		perBase[r.Seed] = append(perBase[r.Seed], r)
-	}
-	multi := 0
-	for _, group := range perBase {
-		if len(group) < 2 {
-			continue
-		}
-		multi++
-		t0 := group[0].Tree()
-		names := map[string]bool{}
-		for v := 0; v < t0.NumVertices(); v++ {
-			names[t0.Name(v)] = true
-		}
-		for _, r := range group[1:] {
-			ti := r.Tree()
-			if ti.NumVertices() != t0.NumVertices() {
-				t.Fatalf("twin of base %d has %d vertices, want %d", r.Seed, ti.NumVertices(), t0.NumVertices())
-			}
-			for v := 0; v < ti.NumVertices(); v++ {
-				if !names[ti.Name(v)] {
-					t.Fatalf("twin of base %d has foreign vertex name %q", r.Seed, ti.Name(v))
-				}
-			}
-		}
-	}
-	if multi == 0 {
-		t.Fatal("no base appeared under multiple presentations")
-	}
-}
-
-func TestServingSizeClass(t *testing.T) {
-	// The serving class must be deterministic, respect [2^minLg,
-	// 2^(maxLg+1)), and put the bulk of the catalog in the small band
-	// (n < 4096 — the int16 kernel tier plus its boundary bucket).
-	a := RequestsClass(7, 500, 4, 20, 64, SizeServing)
-	b := RequestsClass(7, 500, 4, 20, 64, SizeServing)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("stream not deterministic at %d", i)
-		}
-	}
-	small, mid, large := 0, 0, 0
-	for _, r := range Catalog(a) {
-		if r.N < 1<<4 || r.N >= 1<<21 {
-			t.Fatalf("catalog size %d outside [2^4, 2^21)", r.N)
-		}
-		switch {
-		case r.N < 1<<12:
-			small++
-		case r.N < 1<<16:
-			mid++
-		default:
-			large++
-		}
-	}
-	if small < mid+large {
-		t.Fatalf("serving class not small-skewed: %d small, %d mid, %d large", small, mid, large)
-	}
-	if mid == 0 {
-		t.Fatalf("serving class produced no mid-band entries (%d small, %d large)", small, large)
-	}
-
-	// The default class is unchanged by the refactor: Requests ==
-	// RequestsClass(..., SizeLogUniform).
-	c := Requests(9, 100, 3, 8, 16)
-	d := RequestsClass(9, 100, 3, 8, 16, SizeLogUniform)
-	for i := range c {
-		if c[i] != d[i] {
-			t.Fatalf("SizeLogUniform diverges from Requests at %d", i)
-		}
-	}
-
-	if cls, err := ParseSizeClass("serving"); err != nil || cls != SizeServing {
-		t.Fatalf("ParseSizeClass(serving) = %v, %v", cls, err)
-	}
-	if cls, err := ParseSizeClass("loguniform"); err != nil || cls != SizeLogUniform {
-		t.Fatalf("ParseSizeClass(loguniform) = %v, %v", cls, err)
-	}
-	if _, err := ParseSizeClass("bogus"); err == nil {
-		t.Fatal("ParseSizeClass(bogus) did not error")
-	}
-}
