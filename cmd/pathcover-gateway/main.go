@@ -1,20 +1,21 @@
 // Command pathcover-gateway fronts a fleet of pathcoverd nodes with
 // the internal/cluster serving tier: consistent-hash routing on
 // canonical graph identity, health-checked membership with ejection
-// and probation, backoff retries honoring Retry-After, p99-tracked
-// request hedging, and order-preserving /batch fan-out.
+// and probation, backoff retries honoring Retry-After, and
+// order-preserving /batch fan-out.
 //
 //	pathcover-gateway -addr :8090 -nodes http://10.0.0.1:8080,http://10.0.0.2:8080
 //
 // Single-binary cluster mode forks N local daemons on ephemeral ports
 // (each an internal/daemon server, the same code pathcoverd runs) and
 // supervises them — a killed child respawns on its port, so the
-// gateway's probation path readmits it:
+// gateway's probation path readmits it. Each start and respawn is
+// logged with the child's address and PID:
 //
 //	pathcover-gateway -addr :8090 -spawn 3
 //
 // The gateway speaks the same HTTP surface as a node (/cover, /batch,
-// /hamiltonian, /graphs, /healthz, /stats), so clients and pcbench
+// /hamiltonian, /graphs, /healthz, /metrics), so clients and pcbench
 // -attack point at it unchanged. Registered-graph ids come back
 // node-prefixed ("n2.g5"); ?id= requests pin to that node.
 package main
@@ -35,6 +36,7 @@ import (
 
 	"pathcover/internal/cluster"
 	"pathcover/internal/daemon"
+	"pathcover/internal/metrics"
 )
 
 var (
@@ -47,8 +49,6 @@ var (
 	attempts    = flag.Int("attempts", 0, "attempt cap per request chain, first try included (0 = max(4, nodes))")
 	baseBackoff = flag.Duration("backoff", 25*time.Millisecond, "base retry backoff (exponential, jittered)")
 	maxBackoff  = flag.Duration("max-backoff", time.Second, "retry backoff cap")
-	hedgeAfter  = flag.Duration("hedge-ms", 0, "fixed hedging threshold (0 = adaptive: tracked p99 of successful requests)")
-	hedgeFloor  = flag.Duration("hedge-floor", 5*time.Millisecond, "minimum adaptive hedging threshold")
 	failThresh  = flag.Int("fail-threshold", 3, "consecutive health failures before ejecting a node")
 	probOKs     = flag.Int("probation-oks", 2, "consecutive probe successes readmitting an ejected node (on probation)")
 	healthyOKs  = flag.Int("healthy-oks", 3, "consecutive successes graduating probation to healthy")
@@ -84,7 +84,6 @@ func main() {
 // above all, which stops the spawned nodes — runs on every path.
 func runGateway() error {
 	var urls []string
-	var sup *cluster.Supervisor
 	switch {
 	case *spawnN > 0 && *nodes != "":
 		return errors.New("-spawn and -nodes are mutually exclusive")
@@ -93,7 +92,7 @@ func runGateway() error {
 		if err != nil {
 			return err
 		}
-		sup = cluster.NewSupervisor(exe, func(bind string) []string {
+		sup := cluster.NewSupervisor(exe, func(bind string) []string {
 			return []string{
 				"-node", "-node-addr", bind,
 				"-node-shards", fmt.Sprint(*nodeShards),
@@ -126,17 +125,12 @@ func runGateway() error {
 		MaxAttempts:   *attempts,
 		BaseBackoff:   *baseBackoff,
 		MaxBackoff:    *maxBackoff,
-		HedgeAfter:    *hedgeAfter,
-		HedgeFloor:    *hedgeFloor,
 		FailThreshold: *failThresh,
 		ProbationOKs:  *probOKs,
 		HealthyOKs:    *healthyOKs,
 		ProbeInterval: *probeEvery,
 		ProbeTimeout:  *probeTmout,
 		MaxBody:       *maxBody,
-	}
-	if sup != nil {
-		opts.Children = sup.Children
 	}
 	gw := cluster.New(urls, opts)
 	gw.Start()
@@ -150,7 +144,7 @@ func runGateway() error {
 	if *opsAddr != "" {
 		ops := &http.Server{
 			Addr:              *opsAddr,
-			Handler:           gw.OpsHandler(),
+			Handler:           metrics.OpsHandler(gw.ServeMetrics),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go func() {

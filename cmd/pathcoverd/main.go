@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"pathcover/internal/daemon"
+	"pathcover/internal/metrics"
 )
 
 var (
@@ -83,7 +84,7 @@ func main() {
 	if *opsAddr != "" {
 		ops := &http.Server{
 			Addr:              *opsAddr,
-			Handler:           s.OpsHandler(),
+			Handler:           metrics.OpsHandler(s.ServeMetrics),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go func() {

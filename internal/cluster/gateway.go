@@ -2,8 +2,8 @@
 // pathcoverd nodes: a consistent-hash ring keyed on canonical graph
 // identity (isomorphic graphs route to the node whose result cache is
 // warm), health-checked membership with ejection and probation-based
-// readmission, exponential-backoff retries that honor Retry-After,
-// p99-tracked request hedging, and order-preserving /batch fan-out.
+// readmission, exponential-backoff retries that honor Retry-After, and
+// order-preserving /batch fan-out.
 // cmd/pathcover-gateway wraps it behind flags; the spawn half
 // (spawn.go) forks local daemons so one binary is a whole test
 // cluster.
@@ -39,14 +39,6 @@ type Options struct {
 	// overrides the computed sleep when longer.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// HedgeAfter fixes the hedging threshold; 0 means adaptive (the
-	// tracked p99 of successful requests, never below HedgeFloor, no
-	// hedging until enough samples accumulate).
-	HedgeAfter time.Duration
-	// HedgeFloor is the minimum adaptive threshold (0 = 5ms): without a
-	// floor, a stream of sub-millisecond cache hits would hedge every
-	// first miss.
-	HedgeFloor time.Duration
 	// FailThreshold ejects a node after this many consecutive health
 	// failures (0 = 3).
 	FailThreshold int
@@ -67,9 +59,6 @@ type Options struct {
 	// keep-alive transport with no global timeout — per-attempt
 	// lifetimes come from the inbound request context and probes).
 	Client *http.Client
-	// Children, when set (spawn mode), contributes the child-process
-	// table to /stats.
-	Children func() []ChildInfo
 }
 
 func (o *Options) fill() {
@@ -81,9 +70,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = time.Second
-	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = 5 * time.Millisecond
 	}
 	if o.FailThreshold <= 0 {
 		o.FailThreshold = 3
@@ -114,7 +100,6 @@ type Gateway struct {
 	byName  map[string]*member
 	mu      sync.Mutex // guards ring + member health fields
 	ring    *Ring
-	latency latencyTracker
 	stats   counters
 	started time.Time
 	done    chan struct{}
@@ -157,8 +142,7 @@ func (g *Gateway) Close() { g.closeMu.Do(func() { close(g.done) }) }
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", g.handleHealthz)
-	mux.HandleFunc("/stats", g.handleStats)
-	mux.HandleFunc("GET /metrics", g.handleMetrics)
+	mux.HandleFunc("GET /metrics", g.ServeMetrics)
 	mux.HandleFunc("/cover", g.handleSolve)
 	mux.HandleFunc("/hamiltonian", g.handleSolve)
 	mux.HandleFunc("/batch", g.handleBatch)
@@ -241,8 +225,8 @@ func (g *Gateway) candidates(key uint64) []*member {
 
 // ---- forwarding core ----
 
-// fwdReq is one outbound request, body pre-read so attempts repeat and
-// hedge from the same bytes.
+// fwdReq is one outbound request, body pre-read so attempts repeat
+// from the same bytes.
 type fwdReq struct {
 	method   string
 	path     string
@@ -259,7 +243,6 @@ type fwdRes struct {
 	err      error
 	node     *member
 	rerouted bool // answered by a non-first candidate
-	hedge    bool // answered by the hedge chain
 }
 
 func (r fwdRes) ok() bool {
@@ -286,7 +269,6 @@ func (g *Gateway) forward(ctx context.Context, m *member, req fwdReq) fwdRes {
 	if req.body != nil {
 		hr.Header.Set("Content-Type", "application/json")
 	}
-	start := time.Now()
 	resp, err := g.client.Do(hr)
 	if err != nil {
 		return fwdRes{err: err, node: m}
@@ -295,9 +277,6 @@ func (g *Gateway) forward(ctx context.Context, m *member, req fwdReq) fwdRes {
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return fwdRes{err: err, node: m}
-	}
-	if resp.StatusCode < 300 {
-		g.latency.observe(time.Since(start))
 	}
 	return fwdRes{status: resp.StatusCode, header: resp.Header, body: body, node: m}
 }
@@ -343,8 +322,7 @@ func (g *Gateway) attemptChain(ctx context.Context, req fwdReq, cands []*member)
 		switch {
 		case res.err != nil:
 			if ctx.Err() != nil {
-				// The caller went away (or a hedge winner cancelled us):
-				// not the node's fault.
+				// The caller went away: not the node's fault.
 				res.err = ctx.Err()
 				return res
 			}
@@ -363,75 +341,6 @@ func (g *Gateway) attemptChain(ctx context.Context, req fwdReq, cands []*member)
 		last = res
 	}
 	return last
-}
-
-// execute runs a request with hedging: the primary chain starts at the
-// key's owner; if no answer lands within the hedge threshold, a
-// duplicate chain starts at the next replica and the first definitive
-// answer wins, cancelling the loser. Hedging is for idempotent solve
-// traffic — registration and deletes go through attemptChain directly.
-func (g *Gateway) execute(ctx context.Context, req fwdReq, cands []*member, hedge bool) fwdRes {
-	threshold, canHedge := g.hedgeThreshold()
-	if !hedge || !canHedge || len(cands) < 2 {
-		return g.attemptChain(ctx, req, cands)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resc := make(chan fwdRes, 2)
-	go func() { resc <- g.attemptChain(cctx, req, cands) }()
-	outstanding := 1
-	launched := false
-	timer := time.NewTimer(threshold)
-	defer timer.Stop()
-	var last fwdRes
-	for {
-		select {
-		case res := <-resc:
-			outstanding--
-			if res.ok() {
-				cancel() // the loser's chain stops at its next checkpoint
-				if res.hedge {
-					g.stats.hedgeWins.Add(1)
-				}
-				return res
-			}
-			if res.err == nil || last.node == nil {
-				last = res
-			}
-			if outstanding == 0 {
-				return last
-			}
-		case <-timer.C:
-			if !launched {
-				launched = true
-				outstanding++
-				g.stats.hedged.Add(1)
-				cands[1].hedged.Add(1)
-				go func() {
-					res := g.attemptChain(cctx, req, append(cands[1:len(cands):len(cands)], cands[0]))
-					res.hedge = true
-					resc <- res
-				}()
-			}
-		}
-	}
-}
-
-// hedgeThreshold returns the in-flight duration past which a request
-// deserves a duplicate: the fixed HedgeAfter when set, else the
-// tracked p99 (bounded below by HedgeFloor) once enough samples exist.
-func (g *Gateway) hedgeThreshold() (time.Duration, bool) {
-	if g.opts.HedgeAfter > 0 {
-		return g.opts.HedgeAfter, true
-	}
-	p, ok := g.latency.p99()
-	if !ok {
-		return 0, false
-	}
-	if p < g.opts.HedgeFloor {
-		p = g.opts.HedgeFloor
-	}
-	return p, true
 }
 
 // reply copies a chain outcome to the client. Chains that died without
@@ -488,9 +397,9 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 // ---- handlers ----
 
 // handleSolve proxies /cover and /hamiltonian. Inline graphs route by
-// canonical identity and may hedge; ?id= requests pin to the node the
-// id names (node-prefixed ids are the gateway's own registration
-// rewrites; bare ids hash onto the ring).
+// canonical identity; ?id= requests pin to the node the id names
+// (node-prefixed ids are the gateway's own registration rewrites; bare
+// ids hash onto the ring).
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	g.stats.requests.Add(1)
 	body, ok := g.readBody(w, r)
@@ -514,7 +423,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key, _ := routeKey(body, g.vertexCap())
-	g.reply(w, g.execute(r.Context(), req, g.candidates(key), true))
+	g.reply(w, g.attemptChain(r.Context(), req, g.candidates(key)))
 }
 
 // handleRegister proxies POST /graphs: the graph registers on the node
@@ -586,14 +495,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"alive":    alive,
 		"uptime_s": time.Since(g.started).Seconds(),
 	})
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	body := map[string]any{"gateway": g.Stats()}
-	if g.opts.Children != nil {
-		body["children"] = g.opts.Children()
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
 // ---- batch fan-out ----

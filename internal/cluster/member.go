@@ -27,7 +27,7 @@ const (
 	Ejected
 )
 
-// String renders the membership state as reported by /stats.
+// String renders the membership state as Stats reports it.
 func (s NodeState) String() string {
 	switch s {
 	case Healthy:
@@ -41,21 +41,18 @@ func (s NodeState) String() string {
 
 // member is one backend node and its health bookkeeping. The health
 // fields (state, consecutive counters) are guarded by the Gateway's
-// membership lock; the per-node serving counters are atomics read
-// lock-free by /stats.
+// membership lock; the per-node serving counters are atomics.
 type member struct {
 	name string // ring identity and id-prefix: "n0", "n1", ...
 	url  string // base URL, no trailing slash
 
-	state        NodeState
-	consecFails  int
-	consecOKs    int
-	ejections    int64
-	readmissions int64
+	state       NodeState
+	consecFails int
+	consecOKs   int
+	ejections   int64
 
 	routed  atomic.Int64 // requests this node ultimately answered
 	retried atomic.Int64 // retry attempts directed at this node
-	hedged  atomic.Int64 // hedge attempts directed at this node
 }
 
 // noteFail records a health failure of m (transport error, 502/504, or
@@ -94,7 +91,6 @@ func (g *Gateway) noteOK(m *member) {
 		if m.consecOKs >= g.opts.ProbationOKs {
 			m.state = Probation
 			m.consecOKs = 0
-			m.readmissions++
 			g.stats.readmissions.Add(1)
 			g.ring.Add(m.name)
 		}

@@ -2,16 +2,14 @@ package cluster
 
 import (
 	"net/http"
-	"net/http/pprof"
 
 	"pathcover/internal/metrics"
 )
 
-// handleMetrics renders the gateway's counters as Prometheus text: the
-// fleet totals plus per-member routed/retried/hedged/ejection families
-// labelled by node name, all derived from the same snapshot /stats
-// reports, so the two surfaces can never disagree.
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// ServeMetrics renders the gateway's counters as Prometheus text: the
+// fleet totals plus per-member routed/retried/ejection families
+// labelled by node name, all derived from one Stats snapshot.
+func (g *Gateway) ServeMetrics(w http.ResponseWriter, r *http.Request) {
 	st := g.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	mw := metrics.NewWriter(w)
@@ -22,10 +20,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		float64(st.Routed))
 	mw.Counter("pathcover_gateway_retries_total", "Retry attempts beyond each chain's first.",
 		float64(st.Retries))
-	mw.Counter("pathcover_gateway_hedged_total", "Hedge attempts launched at the tracked p99.",
-		float64(st.Hedged))
-	mw.Counter("pathcover_gateway_hedge_wins_total", "Hedges that beat the primary attempt.",
-		float64(st.HedgeWins))
 	mw.Counter("pathcover_gateway_ejections_total", "Members ejected by health checking.",
 		float64(st.Ejections))
 	mw.Counter("pathcover_gateway_readmissions_total", "Ejected members readmitted after probation.",
@@ -34,18 +28,14 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		float64(st.BatchItems))
 	mw.Counter("pathcover_gateway_rerouted_total", "Batch items served off their primary owner.",
 		float64(st.Rerouted))
-	mw.Gauge("pathcover_gateway_p99_seconds", "Tracked p99 latency steering hedges.",
-		st.P99MS/1e3)
 
 	routed := make([]metrics.LabelledValue, 0, len(st.Nodes))
 	retried := make([]metrics.LabelledValue, 0, len(st.Nodes))
-	hedged := make([]metrics.LabelledValue, 0, len(st.Nodes))
 	ejections := make([]metrics.LabelledValue, 0, len(st.Nodes))
 	healthy := make([]metrics.LabelledValue, 0, len(st.Nodes))
 	for _, n := range st.Nodes {
 		routed = append(routed, metrics.LabelledValue{Label: n.Name, Value: float64(n.Routed)})
 		retried = append(retried, metrics.LabelledValue{Label: n.Name, Value: float64(n.Retried)})
-		hedged = append(hedged, metrics.LabelledValue{Label: n.Name, Value: float64(n.Hedged)})
 		ejections = append(ejections, metrics.LabelledValue{Label: n.Name, Value: float64(n.Ejections)})
 		up := 0.0
 		if n.State == "healthy" {
@@ -57,26 +47,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"node", routed)
 	mw.CounterVec("pathcover_gateway_node_retried_total", "Retries charged per member.",
 		"node", retried)
-	mw.CounterVec("pathcover_gateway_node_hedged_total", "Hedges launched against each member.",
-		"node", hedged)
 	mw.CounterVec("pathcover_gateway_node_ejections_total", "Health ejections per member.",
 		"node", ejections)
 	mw.GaugeVec("pathcover_gateway_node_healthy", "1 while the member is in the healthy state.",
 		"node", healthy)
 	_ = mw.Err()
-}
-
-// OpsHandler returns the gateway's operational mux for the -ops port:
-// /metrics plus the net/http/pprof endpoints, mirroring the daemon's
-// split (profiling never rides the serving port). /metrics is also on
-// the serving mux for single-port deployments.
-func (g *Gateway) OpsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", g.handleMetrics)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }

@@ -82,8 +82,7 @@ func (r *Ring) Owner(key uint64) string {
 
 // Owners returns up to k distinct members in ring order starting at
 // key's owner: the preference chain a request for key walks when nodes
-// fail (the second entry is "the next ring replica" in hedging and
-// reroute terms).
+// fail (the second entry is "the next ring replica" in reroute terms).
 func (r *Ring) Owners(key uint64, k int) []string {
 	if len(r.points) == 0 || k <= 0 {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"os/exec"
 	"strings"
@@ -24,21 +25,13 @@ func AnnounceReady(addr string) {
 	fmt.Fprintf(os.Stdout, "%s%s\n", ReadyPrefix, addr)
 }
 
-// ChildInfo is one spawned node's row in the gateway's /stats body —
-// the PID is there so CI can SIGKILL a live child mid-run.
-type ChildInfo struct {
-	Addr     string `json:"addr"`
-	PID      int    `json:"pid"`
-	Restarts int64  `json:"restarts"`
-	Alive    bool   `json:"alive"`
-}
-
 // Supervisor forks and babysits local daemon processes for the
 // single-binary -spawn mode: children start on ephemeral ports,
 // announce themselves via ReadyPrefix, and a child that dies (CI's
 // SIGKILL included) is respawned on the same concrete port after a
 // short delay — so an ejected node comes back at its old address and
-// the gateway's probation path readmits it, no reconfiguration. On
+// the gateway's probation path readmits it, no reconfiguration. Every
+// start and respawn is logged with the child's address and PID. On
 // Linux the children also die with the process that started them, so a
 // supervisor that never reaches Close leaves no node behind.
 type Supervisor struct {
@@ -59,10 +52,8 @@ type Supervisor struct {
 }
 
 type child struct {
-	addr     string // concrete host:port after first ready
-	cmd      *exec.Cmd
-	restarts int64
-	alive    bool
+	addr string // concrete host:port after first ready
+	cmd  *exec.Cmd
 }
 
 // NewSupervisor builds a supervisor that launches exe with
@@ -90,7 +81,8 @@ func (s *Supervisor) StartN(n int) ([]string, error) {
 			s.Close()
 			return nil, fmt.Errorf("spawn node %d: %w", i, err)
 		}
-		c := &child{addr: addr, cmd: cmd, alive: true}
+		log.Printf("pathcover-gateway: started node %s (pid %d)", addr, cmd.Process.Pid)
+		c := &child{addr: addr, cmd: cmd}
 		s.mu.Lock()
 		s.children = append(s.children, c)
 		s.mu.Unlock()
@@ -159,9 +151,6 @@ func (s *Supervisor) watch(c *child, cmd *exec.Cmd) {
 	defer s.watchers.Done()
 	for {
 		cmd.Wait()
-		s.mu.Lock()
-		c.alive = false
-		s.mu.Unlock()
 		if cmd = s.respawn(c.addr); cmd == nil {
 			return
 		}
@@ -173,9 +162,8 @@ func (s *Supervisor) watch(c *child, cmd *exec.Cmd) {
 			return
 		}
 		c.cmd = cmd
-		c.restarts++
-		c.alive = true
 		s.mu.Unlock()
+		log.Printf("pathcover-gateway: respawned node %s (pid %d)", c.addr, cmd.Process.Pid)
 	}
 }
 
@@ -200,22 +188,6 @@ func (s *Supervisor) respawn(addr string) *exec.Cmd {
 		fmt.Fprintf(os.Stderr, "pathcover-gateway: respawn %s: %v\n", addr, err)
 		delay = time.Second
 	}
-}
-
-// Children snapshots the child table (the gateway's /stats "children"
-// section).
-func (s *Supervisor) Children() []ChildInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ChildInfo, len(s.children))
-	for i, c := range s.children {
-		pid := 0
-		if c.cmd != nil && c.cmd.Process != nil {
-			pid = c.cmd.Process.Pid
-		}
-		out[i] = ChildInfo{Addr: c.addr, PID: pid, Restarts: c.restarts, Alive: c.alive}
-	}
-	return out
 }
 
 // Close stops respawning, kills every child and returns once each

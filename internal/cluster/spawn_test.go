@@ -59,12 +59,6 @@ func TestSupervisorCloseDuringRespawn(t *testing.T) {
 	})
 	t.Cleanup(sup.Close)
 	sup.RespawnDelay = 10 * time.Millisecond
-	if _, err := sup.StartN(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := syscall.Kill(sup.Children()[0].PID, syscall.SIGKILL); err != nil {
-		t.Fatal(err)
-	}
 	started := func() []int {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -79,6 +73,12 @@ func TestSupervisorCloseDuringRespawn(t *testing.T) {
 			pids = append(pids, pid)
 		}
 		return pids
+	}
+	if _, err := sup.StartN(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Kill(started()[0], syscall.SIGKILL); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for len(started()) < 3 {

@@ -2,46 +2,38 @@ package cluster
 
 import "sync/atomic"
 
-// counters are the gateway-level serving totals surfaced at /stats.
+// counters are the gateway-level serving totals rendered at /metrics.
 // Per-node breakdowns live on the members.
 type counters struct {
 	requests     atomic.Int64 // requests accepted by the gateway
 	routed       atomic.Int64 // requests answered by some node
 	retries      atomic.Int64 // retry attempts (beyond each chain's first)
-	hedged       atomic.Int64 // hedge attempts launched
-	hedgeWins    atomic.Int64 // hedges that beat the primary
 	ejections    atomic.Int64
 	readmissions atomic.Int64
 	batchItems   atomic.Int64 // batch items fanned out
 	rerouted     atomic.Int64 // batch items served off their primary owner
 }
 
-// NodeStats is one member's row in the gateway's /stats body.
+// NodeStats is one member's row in a GatewayStats snapshot.
 type NodeStats struct {
-	Name         string `json:"name"`
-	URL          string `json:"url"`
-	State        string `json:"state"`
-	Routed       int64  `json:"routed"`
-	Retried      int64  `json:"retried"`
-	Hedged       int64  `json:"hedged"`
-	Ejections    int64  `json:"ejections"`
-	Readmissions int64  `json:"readmissions"`
+	Name      string
+	State     string
+	Routed    int64
+	Retried   int64
+	Ejections int64
 }
 
-// GatewayStats is the gateway's /stats body (modulo the optional
-// "children" section contributed by spawn mode).
+// GatewayStats is a snapshot of the gateway's counters, the one source
+// /metrics renders.
 type GatewayStats struct {
-	Nodes        []NodeStats `json:"nodes"`
-	Requests     int64       `json:"requests"`
-	Routed       int64       `json:"routed"`
-	Retries      int64       `json:"retries"`
-	Hedged       int64       `json:"hedged"`
-	HedgeWins    int64       `json:"hedge_wins"`
-	Ejections    int64       `json:"ejections"`
-	Readmissions int64       `json:"readmissions"`
-	BatchItems   int64       `json:"batch_items"`
-	Rerouted     int64       `json:"rerouted"`
-	P99MS        float64     `json:"p99_ms"`
+	Nodes        []NodeStats
+	Requests     int64
+	Routed       int64
+	Retries      int64
+	Ejections    int64
+	Readmissions int64
+	BatchItems   int64
+	Rerouted     int64
 }
 
 // Stats snapshots the gateway's counters.
@@ -50,27 +42,19 @@ func (g *Gateway) Stats() GatewayStats {
 		Requests:     g.stats.requests.Load(),
 		Routed:       g.stats.routed.Load(),
 		Retries:      g.stats.retries.Load(),
-		Hedged:       g.stats.hedged.Load(),
-		HedgeWins:    g.stats.hedgeWins.Load(),
 		Ejections:    g.stats.ejections.Load(),
 		Readmissions: g.stats.readmissions.Load(),
 		BatchItems:   g.stats.batchItems.Load(),
 		Rerouted:     g.stats.rerouted.Load(),
 	}
-	if p, ok := g.latency.p99(); ok {
-		st.P99MS = float64(p.Nanoseconds()) / 1e6
-	}
 	g.mu.Lock()
 	for _, m := range g.nodes {
 		st.Nodes = append(st.Nodes, NodeStats{
-			Name:         m.name,
-			URL:          m.url,
-			State:        m.state.String(),
-			Routed:       m.routed.Load(),
-			Retried:      m.retried.Load(),
-			Hedged:       m.hedged.Load(),
-			Ejections:    m.ejections,
-			Readmissions: m.readmissions,
+			Name:      m.name,
+			State:     m.state.String(),
+			Routed:    m.routed.Load(),
+			Retried:   m.retried.Load(),
+			Ejections: m.ejections,
 		})
 	}
 	g.mu.Unlock()

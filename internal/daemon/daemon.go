@@ -15,7 +15,7 @@
 //	GET  /graphs/{id}                                         -> registered-graph info
 //	DELETE /graphs/{id}                                       -> {"deleted": true}
 //	GET  /healthz                                             -> readiness body (see below)
-//	GET  /stats                                               -> pool + cache + registry counters
+//	GET  /metrics                                             -> Prometheus text counters
 //
 // A graph spec is either a cotree string (the package's text format) or
 // an explicit edge list. Edge lists are not restricted to cographs:
@@ -50,9 +50,7 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"pathcover"
@@ -112,12 +110,11 @@ type Config struct {
 // Server is one pathcoverd node: a sharded pool, a graph registry and
 // the HTTP handler over them.
 type Server struct {
-	cfg      Config
-	pool     *pathcover.Pool
-	reg      *pathcover.Registry
-	mux      *http.ServeMux
-	started  time.Time
-	requests atomic.Int64
+	cfg     Config
+	pool    *pathcover.Pool
+	reg     *pathcover.Registry
+	mux     *http.ServeMux
+	started time.Time
 
 	met       *serverMetrics
 	reqlog    *reqLogger
@@ -161,8 +158,7 @@ func New(cfg Config) *Server {
 	s.batchGate = newBatchGate(cfg.BatchShare, s.pool.QueueDepth())
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", s.ServeMetrics)
 	mux.HandleFunc("/cover", s.instrument("/cover", tierInteractive, s.handleCover))
 	mux.HandleFunc("/hamiltonian", s.instrument("/hamiltonian", tierInteractive, s.handleHamiltonian))
 	mux.HandleFunc("/batch", s.instrument("/batch", tierBatch, s.handleBatch))
@@ -176,7 +172,7 @@ func New(cfg Config) *Server {
 // Handler returns the node's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Pool exposes the serving pool (boot logging, stats scraping).
+// Pool exposes the serving pool (boot logging).
 func (s *Server) Pool() *pathcover.Pool { return s.pool }
 
 // Close drains and stops the pool. The handler keeps answering
@@ -477,17 +473,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"pool":       s.pool.Stats(),
-		"registry":   s.reg.Stats(),
-		"requests":   s.requests.Load(),
-		"uptime_s":   time.Since(s.started).Seconds(),
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"num_cpu":    runtime.NumCPU(),
-	})
-}
-
 // boolParam reads a query-string boolean ("1"/"true"), so GET
 // /cover?id= requests can ask for omit_paths / include_names without a
 // body.
@@ -505,7 +490,6 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.requests.Add(1)
 	var req coverRequest
 	if r.Method == http.MethodPost {
 		if err := s.decode(w, r, &req); err != nil {
@@ -596,16 +580,20 @@ func (s *Server) handleCover(w http.ResponseWriter, r *http.Request) {
 }
 
 // cacheOutcome classifies how a pool cover was served for the request
-// log: "hit" never occupied a shard, "miss" was solved and (when
-// eligible) filled the cache, "off" means the daemon runs uncached.
+// log: "hit" never occupied a shard, "miss" was solved by the cograph
+// pipeline and (when eligible) filled the cache, "bypass" came from
+// another backend (tree, approximate or degraded covers never reach
+// the cache), and "off" means the daemon runs uncached.
 func (s *Server) cacheOutcome(cov *pathcover.Cover) string {
 	switch {
 	case cov.Shard < 0:
 		return "hit"
-	case s.cfg.CacheMB > 0:
-		return "miss"
-	default:
+	case s.cfg.CacheMB <= 0:
 		return "off"
+	case cov.Backend != pathcover.BackendCograph:
+		return "bypass"
+	default:
+		return "miss"
 	}
 }
 
@@ -613,7 +601,6 @@ func (s *Server) cacheOutcome(cov *pathcover.Cover) string {
 // graph spec once and stores it under a fresh id for repeated
 // GET/POST /cover?id= querying.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	var spec graphSpec
 	if err := s.decode(w, r, &spec); err != nil {
 		badRequest(w, err)
@@ -642,7 +629,6 @@ func graphInfoJSON(id string, g *pathcover.Graph) map[string]any {
 }
 
 func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	id := r.PathValue("id")
 	g, ok := s.reg.Get(id)
 	if !ok {
@@ -653,7 +639,6 @@ func (s *Server) handleGraphInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGraphDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	id := r.PathValue("id")
 	if !s.reg.Delete(id) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no registered graph %q", id)})
@@ -666,7 +651,6 @@ func (s *Server) handleHamiltonian(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	s.requests.Add(1)
 	var req hamiltonianRequest
 	if err := s.decode(w, r, &req); err != nil {
 		badRequest(w, err)
@@ -721,7 +705,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	s.requests.Add(1)
 	var req batchRequest
 	if err := s.decode(w, r, &req); err != nil {
 		badRequest(w, err)

@@ -138,10 +138,23 @@ func TestMetricsGoldenParse(t *testing.T) {
 		t.Errorf("cache hits = %v (present=%v), want >= 1", hits, ok)
 	}
 
+	// A P4 edge list is no cograph: the exact tree route serves it, and
+	// the cache never sees it.
+	if code, body, _ := postBody(t, srv.URL, "/cover", map[string]any{"n": 4, "edges": [][2]int{{0, 1}, {1, 2}, {2, 3}}}); code != http.StatusOK || !bytes.Contains(body, []byte(`"backend":"tree"`)) {
+		t.Fatalf("P4 cover: HTTP %d: %s", code, body)
+	}
+	if before, after := exp.Samples["pathcoverd_cache_misses_total"], scrape(t, srv.URL).Samples["pathcoverd_cache_misses_total"]; after != before {
+		t.Errorf("P4 cover moved cache misses %v -> %v", before, after)
+	}
+
 	// Every instrumented request must have produced one JSON log line.
 	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
-	if len(lines) != 11 { // 10 interactive + 1 batch
-		t.Fatalf("request log has %d lines, want 11:\n%s", len(lines), logBuf.String())
+	if len(lines) != 12 { // 11 interactive + 1 batch
+		t.Fatalf("request log has %d lines, want 12:\n%s", len(lines), logBuf.String())
+	}
+	var p4 reqLogEntry
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &p4); err != nil || p4.Backend != "tree" || p4.Cache != "bypass" {
+		t.Errorf("P4 log line %q: want backend tree, cache bypass (%v)", lines[len(lines)-1], err)
 	}
 	sawHit := false
 	for _, ln := range lines {

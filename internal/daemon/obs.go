@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -21,9 +20,8 @@ const (
 )
 
 // serverMetrics is the daemon's own counter state: everything that is
-// not already a counter on the pool, cache or registry (those are
-// rendered straight off their stats snapshots at scrape time, so a
-// scrape can never disagree with /stats).
+// not already a counter on the pool or cache (those are rendered
+// straight off their stats snapshots at scrape time).
 type serverMetrics struct {
 	requests  metrics.CounterVec // by endpoint
 	responses metrics.CounterVec // by status code
@@ -138,10 +136,10 @@ func widthOf(ri *reqInfo) string {
 	return pathcover.RouteWidth(ri.n)
 }
 
-// handleMetrics renders the Prometheus-text exposition: the daemon's
+// ServeMetrics renders the Prometheus-text exposition: the daemon's
 // own request counters plus point-in-time families derived from the
-// pool, cache and registry stats snapshots.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// pool and cache stats snapshots.
+func (s *Server) ServeMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.pool.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	mw := metrics.NewWriter(w)
@@ -212,21 +210,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// The write failed mid-document (client gone); nothing to salvage.
 		return
 	}
-}
-
-// OpsHandler returns the operational mux served on the -ops port:
-// /metrics plus the net/http/pprof endpoints. The pprof handlers are
-// only reachable here — never on the serving port — so exposing the
-// serving port to untrusted clients does not expose profiling. /metrics
-// is additionally registered on the serving mux, where scraping it is
-// harmless and convenient for single-port deployments.
-func (s *Server) OpsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }

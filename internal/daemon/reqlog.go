@@ -19,7 +19,7 @@ type reqLogEntry struct {
 	N        int     `json:"n,omitempty"`
 	Width    string  `json:"width,omitempty"`
 	Backend  string  `json:"backend,omitempty"`
-	Cache    string  `json:"cache,omitempty"` // hit | miss | bypass
+	Cache    string  `json:"cache,omitempty"` // hit | miss | bypass | off
 	Shard    int     `json:"shard"`           // -1 cache hit, -2 not solved
 	Tier     string  `json:"tier"`
 	Degraded bool    `json:"degraded,omitempty"`

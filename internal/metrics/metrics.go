@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -248,4 +250,20 @@ func (w *Writer) Histogram(name, help string, hs map[string]*Histogram, label st
 		w.printf("%s_sum%s %g\n", name, suffix, float64(h.sumNano.Load())/1e9)
 		w.printf("%s_count%s %d\n", name, suffix, cum)
 	}
+}
+
+// OpsHandler returns the operational mux that both binaries serve on
+// their -ops port: the metrics handler h at /metrics plus the
+// net/http/pprof endpoints. Profiling is reachable only here, never on
+// a serving port, so exposing the serving port to untrusted clients
+// does not expose pprof.
+func OpsHandler(h http.HandlerFunc) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", h)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

@@ -23,10 +23,6 @@ type Registry struct {
 	seq     uint64
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used; values are *regItem
-
-	evicted int64
-	lookups int64
-	misses  int64
 }
 
 type regItem struct {
@@ -67,7 +63,6 @@ func (r *Registry) Register(g *Graph) string {
 		tail := r.lru.Back()
 		delete(r.entries, tail.Value.(*regItem).id)
 		r.lru.Remove(tail)
-		r.evicted++
 	}
 	return id
 }
@@ -76,10 +71,8 @@ func (r *Registry) Register(g *Graph) string {
 func (r *Registry) Get(id string) (*Graph, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.lookups++
 	el, ok := r.entries[id]
 	if !ok {
-		r.misses++
 		return nil, false
 	}
 	r.lru.MoveToFront(el)
@@ -104,28 +97,4 @@ func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.lru.Len()
-}
-
-// RegistryStats is a snapshot of the registry's counters.
-type RegistryStats struct {
-	Resident   int   `json:"resident"`
-	Capacity   int   `json:"capacity"`
-	Registered int64 `json:"registered"`
-	Evicted    int64 `json:"evicted"`
-	Lookups    int64 `json:"lookups"`
-	Misses     int64 `json:"misses"`
-}
-
-// Stats snapshots the registry's counters.
-func (r *Registry) Stats() RegistryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RegistryStats{
-		Resident:   r.lru.Len(),
-		Capacity:   r.max,
-		Registered: int64(r.seq),
-		Evicted:    r.evicted,
-		Lookups:    r.lookups,
-		Misses:     r.misses,
-	}
 }

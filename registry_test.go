@@ -64,13 +64,6 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if _, ok := r.Get(ids[1]); ok {
 		t.Fatal("least-recently-used graph survived")
 	}
-	st := r.Stats()
-	if st.Resident != 3 || st.Capacity != 3 || st.Registered != 5 || st.Evicted != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.Misses == 0 {
-		t.Fatal("missed Gets not counted")
-	}
 }
 
 func TestRegistryConcurrent(t *testing.T) {
